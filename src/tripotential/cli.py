@@ -13,9 +13,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 input or solver error.
 On input/solver errors a machine-readable ``{"error": ...}`` object is
-printed to stdout. Failed per-point evaluations in ``grid`` emit ``nan``
-markers; boundary-band rows carry quadrature potentials and empty field
-columns (the field diverges at the boundary). Outputs are deterministic
+printed to stdout. ``grid`` rows come from the array kernel
+``potential_field_batch``, evaluated and streamed (CSV) block by block of
+whole grid rows once every input has been validated. Failed per-point
+evaluations in ``grid`` emit ``nan`` markers; boundary-band rows carry
+quadrature potentials and empty field columns (the field diverges at the
+boundary). Outputs are deterministic
 for identical flags; JSON numbers use shortest round-trip formatting,
 CSV uses ``,`` separators and ``.`` decimal points regardless of locale.
 """
@@ -23,10 +26,13 @@ CSV uses ``,`` separators and ``.`` decimal points regardless of locale.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
+
+import numpy as np
 
 # Lets argparse accept tokens like "-1,0" as values rather than options.
 _NEGATIVE_VALUE = re.compile(r"^-\d[\d.,eE+-]*$")
@@ -42,18 +48,16 @@ from .center import (
 from .errors import TripotentialError
 from .geometry import (
     Point2,
-    PointLocation,
     SideLengths,
     Triangle,
     centroid,
-    classify_point,
     diameter,
     side_lengths,
     triangle_from_sides,
 )
 from .potential import (
     field_closed,
-    potential_closed,
+    potential_field_batch,
     potential_quadrature,
     QuadratureConfig,
 )
@@ -130,16 +134,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.write("\n")
 
 
 def _csv_table(header: list[str], rows: list[list]) -> str:
@@ -326,43 +334,65 @@ def _cmd_lambda_curve(args) -> int:
     return 0
 
 
+# Points per block of grid rows evaluated at once: large enough to amortize
+# numpy's per-call overhead, small enough to keep memory flat at n=2048.
+_GRID_BLOCK_POINTS = 4096
+# Boundary-band rows. The depth budget is deeper than QuadratureConfig's
+# default: a point next to a vertex leaves a near-pole ~1e-7 rad from a
+# window end, which needs more than 20 bisections to resolve.
+_GRID_BAND_CFG = QuadratureConfig(target_rel_tol=1e-10, max_subdivisions=40)
+
+
+def _grid_blocks(tri: Triangle, xs: list[float], ys: list[float]):
+    """Yield (y values, V, Ex, Ey, inside) per block of whole grid rows.
+
+    Per-point columns run in row-major order; Ex and Ey are None where
+    the field is absent (outside, or in the boundary band).
+    """
+    n = len(xs)
+    rows = max(1, _GRID_BLOCK_POINTS // n)
+    x_block = np.array(xs * rows)
+    for j0 in range(0, len(ys), rows):
+        y_rows = ys[j0:j0 + rows]
+        px = x_block[:n * len(y_rows)]
+        py = np.repeat(y_rows, n)
+        batch = potential_field_batch(tri, px, py)
+        v = batch.v.tolist()
+        for k in np.flatnonzero(batch.excluded).tolist():
+            # Boundary band: the closed forms are unusable; the potential
+            # still exists and comes from quadrature, the field genuinely
+            # diverges and stays empty.
+            try:
+                p = Point2(float(px[k]), float(py[k]))
+                v[k] = potential_quadrature(tri, p, _GRID_BAND_CFG)
+            except TripotentialError:
+                v[k] = math.nan
+        has_field = batch.interior & ~batch.excluded
+        ex = np.where(has_field, batch.ex, None).tolist()
+        ey = np.where(has_field, batch.ey, None).tolist()
+        yield y_rows, v, ex, ey, batch.interior.astype(int).tolist()
+
+
 def _cmd_grid(args) -> int:
     tri = _triangle_from_args(args)
-    if not 8 <= args.n <= 2048:
-        raise ValueError(f"grid resolution must be in [8, 2048], got {args.n}")
-    xs = [v.x for v in tri.vertices]
-    ys = [v.y for v in tri.vertices]
-    pad_x = 0.2 * (max(xs) - min(xs))
-    pad_y = 0.2 * (max(ys) - min(ys))
-    x0, x1 = min(xs) - pad_x, max(xs) + pad_x
-    y0, y1 = min(ys) - pad_y, max(ys) + pad_y
-    band_cfg = QuadratureConfig(target_rel_tol=1e-10)
-    rows = []
-    for j in range(args.n):
-        y = y0 + (y1 - y0) * j / (args.n - 1)
-        for i in range(args.n):
-            x = x0 + (x1 - x0) * i / (args.n - 1)
-            p = Point2(x, y)
-            interior = classify_point(tri, p) is PointLocation.INTERIOR
-            inside = 1 if interior else 0
-            try:
-                v = potential_closed(tri, p)
-                ex, ey = (None, None)
-                if interior:
-                    fv = field_closed(tri, p)
-                    ex, ey = fv.ex, fv.ey
-            except TripotentialError:
-                # boundary band: the closed forms are unusable; the
-                # potential still exists and comes from quadrature, the
-                # field genuinely diverges and stays empty.
-                try:
-                    v = potential_quadrature(tri, p, band_cfg)
-                except TripotentialError:
-                    v = math.nan
-                ex, ey = (None, None)
-            rows.append([x, y, v, ex, ey, inside])
+    n = args.n
+    if not 8 <= n <= 2048:
+        raise ValueError(f"grid resolution must be in [8, 2048], got {n}")
+    vx = [v.x for v in tri.vertices]
+    vy = [v.y for v in tri.vertices]
+    pad_x = 0.2 * (max(vx) - min(vx))
+    pad_y = 0.2 * (max(vy) - min(vy))
+    x0, x1 = min(vx) - pad_x, max(vx) + pad_x
+    y0, y1 = min(vy) - pad_y, max(vy) + pad_y
+    xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
+    ys = [y0 + (y1 - y0) * j / (n - 1) for j in range(n)]
     header = ["x", "y", "V", "Ex", "Ey", "inside"]
+    blocks = _grid_blocks(tri, xs, ys)
     if args.format == "json":
+        rows = []
+        for y_rows, *columns in blocks:
+            points = ((x, y) for y in y_rows for x in xs)
+            rows.extend([x, y, *values] for (x, y), *values in zip(points, *columns))
         report = {
             "command": "grid",
             "triangle": _triangle_info(tri),
@@ -370,8 +400,19 @@ def _cmd_grid(args) -> int:
             "rows": rows,
         }
         _emit(json.dumps(report, indent=2), args.out)
-    else:
-        _emit(_csv_table(header, rows), args.out)
+        return 0
+    # CSV is written block by block; x and y strings repeat, so format once.
+    x_text = [_fmt(x) for x in xs]
+    with _output(args.out) as fh:
+        fh.write(",".join(header) + "\n")
+        for y_rows, v, ex, ey, inside in blocks:
+            y_text = [t for y in y_rows for t in [_fmt(y)] * n]
+            fh.write("".join(
+                f"{x},{y},{vk!r},{_fmt(exk)},{_fmt(eyk)},{ik}\n"
+                for x, y, vk, exk, eyk, ik in zip(
+                    x_text * len(y_rows), y_text, v, ex, ey, inside
+                )
+            ))
     return 0
 
 

@@ -18,6 +18,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateTriangle, DegenerateTrilinears, NotInterior
 
 __all__ = [
@@ -256,17 +258,30 @@ def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     )
 
 
-def _normalized_edge_heights(tri: Triangle, p: Point2):
-    """Signed distances to sides BC, CA, AB divided by 2*area.
+def _distance_to_boundary_array(tri: Triangle, x, y):
+    """``distance_to_boundary`` elementwise over numpy coordinate arrays."""
+    dist = None
+    for v1, v2 in tri.edges():
+        ex, ey = v2.x - v1.x, v2.y - v1.y
+        ee = ex * ex + ey * ey
+        t = np.clip(((x - v1.x) * ex + (y - v1.y) * ey) / ee, 0.0, 1.0)
+        d = np.hypot(x - (v1.x + t * ex), y - (v1.y + t * ey))
+        dist = d if dist is None else np.minimum(dist, d)
+    return dist
 
-    These are the barycentric coordinates of p divided by the respective
-    side length; all positive iff p is strictly interior.
+
+def _normalized_edge_heights(tri: Triangle, x, y):
+    """Signed distances of (x, y) to sides BC, CA, AB divided by 2*area.
+
+    These are the barycentric coordinates of the point divided by the
+    respective side length; all positive iff it is strictly interior.
+    Coordinates may be floats or numpy arrays (elementwise, same bits).
     """
     A, B, C = tri.vertices
     twice_area = 2.0 * area(tri)
-    eta_a = _cross(B.x, B.y, C.x, C.y, p.x, p.y) / twice_area
-    eta_b = _cross(C.x, C.y, A.x, A.y, p.x, p.y) / twice_area
-    eta_c = _cross(A.x, A.y, B.x, B.y, p.x, p.y) / twice_area
+    eta_a = _cross(B.x, B.y, C.x, C.y, x, y) / twice_area
+    eta_b = _cross(C.x, C.y, A.x, A.y, x, y) / twice_area
+    eta_c = _cross(A.x, A.y, B.x, B.y, x, y) / twice_area
     return eta_a, eta_b, eta_c
 
 
@@ -275,7 +290,7 @@ def classify_point(tri: Triangle, p: Point2) -> PointLocation:
 
     A relative band of width 1e-12 around zero counts as Boundary.
     """
-    etas = _normalized_edge_heights(tri, p)
+    etas = _normalized_edge_heights(tri, p.x, p.y)
     if any(e < -BOUNDARY_BAND_RTOL for e in etas):
         return PointLocation.EXTERIOR
     if any(e <= BOUNDARY_BAND_RTOL for e in etas):

@@ -10,20 +10,26 @@ integral is exact. For V that leaves the 1D angular integral of the
 ray length R(phi), which has the elementary antiderivative
 d * log tan(psi/2) per edge (``potential_closed``) and is also integrated
 numerically as an independent cross-check (``potential_quadrature``).
+``potential_field_batch`` evaluates the closed forms of V and E over point
+arrays with the scalar functions' arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import TooCloseToBoundary, ToleranceNotReached, NotInterior
 from .geometry import (
+    BOUNDARY_BAND_RTOL,
     Point2,
     PointLocation,
     Triangle,
+    _distance_to_boundary_array,
+    _normalized_edge_heights,
     cevian_angles,
     classify_point,
     diameter,
@@ -38,6 +44,8 @@ __all__ = [
     "potential_closed",
     "potential_quadrature",
     "field_closed",
+    "FieldBatch",
+    "potential_field_batch",
     "brute_force_max",
 ]
 
@@ -232,6 +240,92 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     return FieldVector(e.real, e.imag)
 
 
+class FieldBatch(NamedTuple):
+    """Closed-form potential and field at an array of points.
+
+    ``v`` is nan where ``excluded``; ``ex`` and ``ey`` are nan except at
+    strictly interior points outside the exclusion band. The masks carry
+    the same verdicts as ``classify_point`` (interior, exterior; neither
+    means the boundary band) and the exclusion test of the scalar
+    closed forms.
+    """
+
+    v: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    interior: np.ndarray
+    exterior: np.ndarray
+    excluded: np.ndarray
+
+
+def _potential_array(tri: Triangle, x, y):
+    """``potential_closed``'s per-edge sum, elementwise, without the
+    exclusion test."""
+    total = np.zeros(x.shape)
+    for v1, v2 in tri.edges():
+        ux, uy = v1.x - x, v1.y - y
+        wx, wy = v2.x - x, v2.y - y
+        cr = ux * wy - uy * wx
+        ex, ey = v2.x - v1.x, v2.y - v1.y
+        d = np.abs(cr) / math.hypot(ex, ey)
+        theta1 = np.arctan2(np.abs(cr), -(ux * ex + uy * ey))
+        theta2 = np.arctan2(np.abs(cr), wx * ex + wy * ey)
+        piece = np.log(np.tan(0.5 * (math.pi - theta2))) - np.log(
+            np.tan(0.5 * theta1)
+        )
+        collapsed = np.abs(cr) <= 1e-15 * np.hypot(ux, uy) * np.hypot(wx, wy)
+        total += np.where(collapsed, 0.0, np.copysign(d, cr) * piece)
+    return total
+
+
+def _field_array(tri: Triangle, x, y):
+    """``field_closed``'s per-edge sum, elementwise, at strictly interior
+    points; same arithmetic, edge order BC, CA, AB."""
+    A, B, C = tri.vertices
+    sum_x = sum_y = 0.0
+    for v1, v2 in ((B, C), (C, A), (A, B)):
+        length = v1.distance_to(v2)
+        # angles the point subtends at v1 and at v2, as in cevian_angles
+        px, py = x - v1.x, y - v1.y
+        qx, qy = v2.x - v1.x, v2.y - v1.y
+        t1 = np.arctan2(np.abs(qx * py - qy * px), qx * px + qy * py)
+        px, py = x - v2.x, y - v2.y
+        qx, qy = v1.x - v2.x, v1.y - v2.y
+        t2 = np.arctan2(np.abs(px * qy - py * qx), px * qx + py * qy)
+        log_t = np.log(np.tan(0.5 * t1) * np.tan(0.5 * t2))
+        sum_x = sum_x + (v1.x - v2.x) / length * log_t
+        sum_y = sum_y + (v1.y - v2.y) / length * log_t
+    return sum_y, -sum_x
+
+
+def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
+    """``potential_closed`` and ``field_closed`` over point arrays at once.
+
+    Evaluates the scalar functions' per-edge closed forms with the same
+    arithmetic, vectorized over points, so results agree to rounding of
+    the elementary functions. Where a scalar function would raise, the
+    masks say why and the value is nan. For one point the scalar
+    functions are faster.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    eta_min = np.minimum.reduce(_normalized_edge_heights(tri, x, y))
+    interior = eta_min > BOUNDARY_BAND_RTOL
+    exterior = eta_min < -BOUNDARY_BAND_RTOL
+    excluded = (
+        _distance_to_boundary_array(tri, x, y)
+        <= BOUNDARY_EXCLUSION_RTOL * diameter(tri)
+    )
+    has_field = interior & ~excluded
+    ex = np.full(x.shape, math.nan)
+    ey = np.full(x.shape, math.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = _potential_array(tri, x, y)
+        ex[has_field], ey[has_field] = _field_array(tri, x[has_field], y[has_field])
+    v[excluded] = math.nan
+    return FieldBatch(v, ex, ey, interior, exterior, excluded)
+
+
 def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
     """Composite Kronrod-15 polar quadrature at many strictly interior
     points at once.
@@ -309,11 +403,17 @@ def brute_force_max(
     margin = 2.0 * BOUNDARY_EXCLUSION_RTOL * diam
 
     def evaluate(points, panels):
-        if evaluator == "closed":
-            return np.array([potential_closed(tri, q) for q in points])
         px = np.array([q.x for q in points])
         py = np.array([q.y for q in points])
-        return _potential_quadrature_batch(tri, px, py, panels)
+        if evaluator == "quadrature":
+            return _potential_quadrature_batch(tri, px, py, panels)
+        batch = potential_field_batch(tri, px, py)
+        if batch.excluded.any():  # where potential_closed would raise
+            raise TooCloseToBoundary(
+                f"a scan point is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter "
+                "of the boundary"
+            )
+        return batch.v
 
     lattice = _interior_lattice(tri, grid_n)
     values = evaluate(lattice, 4)

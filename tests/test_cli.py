@@ -205,9 +205,84 @@ def test_grid_max_cell_is_near_centroid(capsys):
     assert math.hypot(float(best[0]) - g.x, float(best[1]) - g.y) < 1.6 * cell
 
 
-def test_grid_resolution_validation(capsys):
+def test_grid_resolution_validation(tmp_path, capsys):
     code, out = run_cli(capsys, "grid", "--sides", "1,1,1", "--n", "4")
     assert code == 2
+    # Inputs are checked before the first row streams: a CSV request
+    # prints the JSON error object alone and leaves no output file.
+    for argv in (("--sides", "1,1,3", "--n", "16"), ("--sides", "1,1,1", "--n", "4")):
+        code, out = run_cli(capsys, "grid", *argv, "--format", "csv")
+        assert code == 2
+        validate(json.loads(out))
+        target = tmp_path / "grid.csv"
+        code, out = run_cli(
+            capsys, "grid", *argv, "--format", "csv", "--out", str(target)
+        )
+        assert code == 2 and "error" in json.loads(out)
+        assert not target.exists()
+
+
+def test_grid_json_csv_and_out_file_agree(tmp_path, capsys):
+    argv = ("grid", "--vertices", "-1,0", "2,0", "0,2", "--n", "80")
+    code, out_json = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out_json)
+    validate(payload)
+    code, out_csv = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out_csv.splitlines()
+    assert lines[0].split(",") == payload["header"]
+
+    def parse(field):
+        return None if field == "" else float(field)
+
+    rows = []
+    for line in lines[1:]:
+        *values, inside = line.split(",")
+        rows.append([parse(f) for f in values] + [int(inside)])
+    assert rows == payload["rows"]
+    assert len(rows) == 80 * 80  # more than one block of grid rows
+    assert any(r[3] is None for r in rows) and any(r[3] is not None for r in rows)
+    for fmt, printed in (("json", out_json), ("csv", out_csv)):
+        target = tmp_path / f"grid.{fmt}"
+        code, out = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_grid_row_on_side_next_to_vertex_has_finite_potential(capsys):
+    # Canonical pose puts grid row j=9 on side BC; its point 1.08e-8 from
+    # B leaves a near-pole at an angular window end that the boundary-band
+    # quadrature must resolve instead of printing nan.
+    sides = (0.004278252983131883, 0.037139396333608216, 0.03666741467607147)
+    code, out = run_cli(
+        capsys, "grid", "--sides", ",".join(map(repr, sides)), "--n", "64",
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert len(lines) == 64 * 64
+    assert not [line for line in lines if "nan" in line]
+    row = [line for line in lines if line.startswith("1.0844872145275575e-08,0.0,")]
+    assert len(row) == 1
+    _, _, v, ex, ey, inside = row[0].split(",")
+    assert (ex, ey, inside) == ("", "", "0")
+
+    # Oracle: V = sum over edges of d_e * log((r1 + r2 + L) / (r1 + r2 - L)),
+    # d_e the distance to the edge's line (the on-edge term tends to 0).
+    a, b, c = sides
+    xa = (a * a + c * c - b * b) / (2 * a)
+    verts = [(xa, math.sqrt(c * c - xa * xa)), (0.0, 0.0), (a, 0.0)]
+    px, py = 1.0844872145275575e-08, 0.0
+    expected = 0.0
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        length = math.hypot(x2 - x1, y2 - y1)
+        d = abs((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)) / length
+        if d == 0.0:
+            continue
+        r12 = math.hypot(x1 - px, y1 - py) + math.hypot(x2 - px, y2 - py)
+        expected += d * math.log((r12 + length) / (r12 - length))
+    assert abs(float(v) - expected) <= 1e-9 * expected
 
 
 def test_survey_deterministic(capsys):

@@ -18,15 +18,18 @@ from tripotential import (
     field_closed,
     incenter,
     potential_closed,
+    potential_field_batch,
     potential_quadrature,
     triangle_from_sides,
     PointLocation,
 )
+from tripotential.potential import BOUNDARY_EXCLUSION_RTOL
 
 from conftest import (
     GOLDEN_CENTER,
     make_rng,
     random_interior_point,
+    random_sides,
     random_triangle,
     transform_point,
     transform_triangle,
@@ -246,3 +249,85 @@ def test_quadrature_config_validation():
         QuadratureConfig(target_rel_tol=0.5)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
+
+
+def assert_batch_matches_scalar(tri, xs, ys):
+    """potential_field_batch against classify_point, distance_to_boundary,
+    potential_closed and field_closed, point for point."""
+    batch = potential_field_batch(tri, xs, ys)
+    limit = BOUNDARY_EXCLUSION_RTOL * diameter(tri)
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        p = Point2(x, y)
+        loc = classify_point(tri, p)
+        assert batch.interior[k] == (loc is PointLocation.INTERIOR)
+        assert batch.exterior[k] == (loc is PointLocation.EXTERIOR)
+        assert batch.excluded[k] == (distance_to_boundary(tri, p) <= limit)
+        if batch.excluded[k]:
+            with pytest.raises(TooCloseToBoundary):
+                potential_closed(tri, p)
+            assert math.isnan(batch.v[k])
+        else:
+            v = potential_closed(tri, p)
+            assert abs(batch.v[k] - v) <= 1e-13 * abs(v)
+        if batch.interior[k] and not batch.excluded[k]:
+            field = field_closed(tri, p)
+            err = math.hypot(batch.ex[k] - field.ex, batch.ey[k] - field.ey)
+            assert err <= 1e-13 * field.norm()
+        else:
+            assert math.isnan(batch.ex[k]) and math.isnan(batch.ey[k])
+    return batch
+
+
+def test_field_batch_matches_scalar_closed_forms():
+    rng = make_rng(108)
+    counts = {PointLocation.INTERIOR: 0, PointLocation.EXTERIOR: 0}
+    for _ in range(12):
+        sides = random_sides(rng, min_angle=0.1)
+        tri = transform_triangle(
+            triangle_from_sides(sides.a, sides.b, sides.c),
+            angle=rng.uniform(0.0, 2.0 * math.pi),
+            dx=rng.uniform(-3.0, 3.0),
+            dy=rng.uniform(-3.0, 3.0),
+        )
+        g = centroid(tri)
+        d = diameter(tri)
+        xs = g.x + d * rng.uniform(-0.7, 0.7, 200)
+        ys = g.y + d * rng.uniform(-0.7, 0.7, 200)
+        batch = assert_batch_matches_scalar(tri, xs, ys)
+        counts[PointLocation.INTERIOR] += int(batch.interior.sum())
+        counts[PointLocation.EXTERIOR] += int(batch.exterior.sum())
+    assert min(counts.values()) > 200
+
+
+def test_field_batch_grid_row_on_side_bc():
+    # The grid CLI's canonical pose puts row j=9 of n=64 exactly on side
+    # BC (y0 = -0.2 h, y1 = 1.2 h, 63 / 7 = 9): the points between B and C
+    # lie in the boundary band and in the exclusion band.
+    tri = triangle_from_sides(
+        0.004278252983131883, 0.037139396333608216, 0.03666741467607147
+    )
+    vx = [v.x for v in tri.vertices]
+    vy = [v.y for v in tri.vertices]
+    pad_x, pad_y = 0.2 * (max(vx) - min(vx)), 0.2 * (max(vy) - min(vy))
+    x0, x1 = min(vx) - pad_x, max(vx) + pad_x
+    y0, y1 = min(vy) - pad_y, max(vy) + pad_y
+    n = 64
+    y = y0 + (y1 - y0) * 9 / (n - 1)
+    assert y == 0.0
+    xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
+    batch = assert_batch_matches_scalar(tri, xs, [y] * n)
+    on_side = [0.0 <= x <= tri.c_vertex.x for x in xs]
+    assert list(batch.excluded) == on_side
+    assert not batch.interior.any()
+    assert list(batch.exterior) == [not s for s in on_side]
+    # just off the side, inside the relative band of classify_point
+    height = tri.a_vertex.y
+    for offset in (1e-13 * height, -1e-13 * height):
+        batch = assert_batch_matches_scalar(tri, xs, [offset] * n)
+        assert list(batch.excluded) == on_side
+        assert not batch.interior.any()
+        assert list(batch.exterior) == [not s for s in on_side]
+    # strictly inside, yet too close to the side for the closed forms
+    batch = assert_batch_matches_scalar(tri, xs, [1e-10 * height] * n)
+    assert list(batch.excluded) == on_side
+    assert (batch.interior & batch.excluded).sum() > 25
