@@ -355,6 +355,15 @@ def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
     return values
 
 
+def _interior_beyond(tri: Triangle, x, y, margin: float):
+    """Elementwise: ``classify_point`` says interior and
+    ``distance_to_boundary`` exceeds margin."""
+    eta_min = np.minimum.reduce(_normalized_edge_heights(tri, x, y))
+    return (eta_min > BOUNDARY_BAND_RTOL) & (
+        _distance_to_boundary_array(tri, x, y) > margin
+    )
+
+
 def _interior_lattice(tri: Triangle, n: int):
     """Strictly interior barycentric lattice points, ~n^2/2 of them."""
     A, B, C = tri.vertices
@@ -402,9 +411,7 @@ def brute_force_max(
     diam = diameter(tri)
     margin = 2.0 * BOUNDARY_EXCLUSION_RTOL * diam
 
-    def evaluate(points, panels):
-        px = np.array([q.x for q in points])
-        py = np.array([q.y for q in points])
+    def evaluate(px, py, panels):
         if evaluator == "quadrature":
             return _potential_quadrature_batch(tri, px, py, panels)
         batch = potential_field_batch(tri, px, py)
@@ -416,26 +423,24 @@ def brute_force_max(
         return batch.v
 
     lattice = _interior_lattice(tri, grid_n)
-    values = evaluate(lattice, 4)
-    best_p = lattice[int(np.argmax(values))]  # argmax takes the first max
+    px = np.array([q.x for q in lattice])
+    py = np.array([q.y for q in lattice])
+    best = int(np.argmax(evaluate(px, py, 4)))  # argmax takes the first max
+    best_x, best_y = float(px[best]), float(py[best])
 
     extent = diam / grid_n
-    offsets = np.linspace(-1.0, 1.0, 9)
+    # the 9x9 local grid row by row, without its center
+    dx, dy = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9))
+    probe = (dx != 0.0) | (dy != 0.0)
+    dx, dy = dx[probe], dy[probe]
     for _ in range(refine_iters):
+        qx, qy = best_x + dx * extent, best_y + dy * extent
+        keep = _interior_beyond(tri, qx, qy, margin)
         # center first so it wins ties against its own probes
-        candidates = [best_p]
-        for dy in offsets:
-            for dx in offsets:
-                if dx == 0.0 and dy == 0.0:
-                    continue
-                q = Point2(best_p.x + dx * extent, best_p.y + dy * extent)
-                if classify_point(tri, q) is not PointLocation.INTERIOR:
-                    continue
-                if distance_to_boundary(tri, q) <= margin:
-                    continue
-                candidates.append(q)
+        px = np.concatenate(([best_x], qx[keep]))
+        py = np.concatenate(([best_y], qy[keep]))
         panels = 4 if extent > 1e-3 * diam else 8
-        values = evaluate(candidates, panels)
-        best_p = candidates[int(np.argmax(values))]
+        best = int(np.argmax(evaluate(px, py, panels)))
+        best_x, best_y = float(px[best]), float(py[best])
         extent /= 4.0
-    return best_p
+    return Point2(best_x, best_y)

@@ -57,21 +57,30 @@ class QuadResult(NamedTuple):
     nfev: int
 
 
-def _gk15(f: Callable, a: float, b: float):
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = f(center + half * _NODES)
+def _gk15_panels(y, half):
+    """Kronrod-15 values and error estimates of panels sampled at _NODES.
+
+    y holds the integrand at the 15 nodes of each panel, shape
+    (panels, 15) or (15,), real or complex; half is each panel's
+    half-width. Returns (K15 values, error estimates), one per panel.
+    """
+    y = y.T
     k15 = half * (_WK @ y)
     g7 = half * (_WG @ y[_G_IDX])
     raw = abs(k15 - g7)
     # QUADPACK-style rescaling: |K15 - G7| tracks the error of G7, which
     # grossly overstates the accepted K15 value on smooth integrands.
-    resasc = abs(half) * float(_WK @ np.abs(y - k15 / (b - a)))
-    if resasc != 0.0 and raw != 0.0:
-        err = resasc * min(1.0, (200.0 * raw / resasc) ** 1.5)
-    else:
-        err = raw
-    return k15, err
+    resasc = abs(half) * (_WK @ abs(y - k15 / (2.0 * half)))
+    # resasc = 0 only where the integrand is the same at every node
+    # (zero, in practice): the estimate is then 0, not 0 / 0.
+    ratio = 200.0 * raw / (resasc + (resasc == 0.0))
+    return k15, resasc * np.minimum(1.0, ratio**1.5)
+
+
+def _gk15(f: Callable, a: float, b: float):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return _gk15_panels(f(center + half * _NODES), half)
 
 
 def integrate_adaptive(

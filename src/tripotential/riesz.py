@@ -12,6 +12,17 @@ the correct degenerate form of the condition replaces R^0 by log R (the
 limit kernel of (R^(p+1) - 1)/(p + 1)), which reproduces the negated
 electrostatic field.
 
+``rp_center`` integrates it edge by edge on a fixed rule graded toward
+the foot of the perpendicular (``_edge_rule``), with the exact Jacobian
+from the boundary form (divergence theorem, n_e the outward normal)
+
+    integral of R^(p+1) e^{i phi} dphi
+        = (p+1)/p * sum over edges of n_e * integral of |PQ|^p dS
+
+(log|PQ| in place of (p+1)/p |PQ|^p at p = 0, -|PQ|^-1 at p = -1).
+``stationarity_residual`` keeps the adaptive angular quadrature as the
+independent check.
+
 Special values: p = 2 lands on the centroid, p = -2 on the equal
 angle-per-area "illuminating" point, p = -4 on the point whose
 unit-circle inversion of the boundary encloses a region with centroid at
@@ -40,7 +51,7 @@ from .geometry import (
     side_lengths,
 )
 from .potential import BOUNDARY_EXCLUSION_RTOL, FieldVector, cone_windows
-from .quadrature import integrate_adaptive
+from .quadrature import _NODES, _WK, _gk15_panels, integrate_adaptive
 
 __all__ = [
     "RpSolveReport",
@@ -57,6 +68,12 @@ __all__ = [
 # Newton iterates keep at least this margin (times diameter) from the
 # boundary, where the kernel R^(p+1) becomes ill-conditioned for p < -1.
 INTERIOR_MARGIN_RTOL = 1e-6
+
+# Half-width in s of the composite Kronrod-15 panels of the edge rule,
+# min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (|p| + 1)): the kernel
+# grows or decays like cosh(s)^(p+1), so panels narrow as |p| grows.
+_PANEL_HALF_WIDTH = 0.25
+_PANEL_HALF_WIDTH_P = 1.5
 
 
 @dataclass(frozen=True)
@@ -111,17 +128,17 @@ def _scaled_residual(
     abs_tol: float,
     max_depth: int,
 ):
-    """The stationarity integral with R normalized by the local ray scale.
+    """The stationarity integral with R normalized by the local ray scale,
+    by adaptive quadrature over the cone windows.
 
-    Returns (complex integral, magnitude normalizer, worst window error).
-    The normalizer is the coarse integral of |kernel|, which makes the
-    ratio |integral| / normalizer a dimensionless asymmetry measure.
+    Returns (complex integral, magnitude normalizer, ray scale). The
+    normalizer is the coarse integral of |kernel|, which makes the ratio
+    |integral| / normalizer a dimensionless asymmetry measure.
     """
     kern = _kernel(p)
     r0 = _ray_scale(tri, p_pt)
     total = 0.0 + 0.0j
     magnitude = 0.0
-    worst = 0.0
     for phi_start, delta, ray in cone_windows(tri, p_pt):
 
         def f_abs(phis, ray=ray):
@@ -152,9 +169,60 @@ def _scaled_residual(
                 target=window_tol,
             )
         total += res.value
-        worst = max(worst, res.error)
         magnitude += window_mag
-    return total, magnitude, worst, r0
+    return total, magnitude, r0
+
+
+def _edge_rule(tri: Triangle, p_pt: Point2, p: float):
+    """The stationarity integral of ``_scaled_residual`` on sinh-graded
+    edge panels, with its exact Jacobian.
+
+    Returns (S, magnitude, error, jacobian): S is the integral of
+    kern(R/r0) e^{i phi} dphi, magnitude the integral of |kern(R/r0)|
+    dphi, error the panels' summed Gauss-7 estimate for S, and jacobian
+    d(Re S, Im S)/d(x, y) at fixed r0 (the ray scale, whose own
+    variation contributes nothing at a root of S).
+
+    Vertices run counterclockwise, so edge (V1, V2) with unit direction
+    u has outward normal n = (u_y, -u_x), and a strictly interior P lies
+    at d = (V1 - P) . n > 0 from its line. With t = d sinh(s) along the
+    edge from the foot of the perpendicular, r = d cosh(s), dphi =
+    ds / cosh(s) and e^{i phi} = (n + sinh(s) u) / cosh(s); the edge
+    adds -(1/r0) n (x) integral of kern'(r/r0) e^{i phi} ds to dS/dP.
+    """
+    r0 = _ray_scale(tri, p_pt)
+    width = 2.0 * min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (abs(p) + 1.0))
+    rows = []
+    for v1, v2 in tri.edges():
+        length = v1.distance_to(v2)
+        ux, uy = (v2.x - v1.x) / length, (v2.y - v1.y) / length
+        d = (v1.x - p_pt.x) * uy - (v1.y - p_pt.y) * ux
+        s1 = math.asinh(((v1.x - p_pt.x) * ux + (v1.y - p_pt.y) * uy) / d)
+        s2 = math.asinh(((v2.x - p_pt.x) * ux + (v2.y - p_pt.y) * uy) / d)
+        panels = math.ceil((s2 - s1) / width)
+        rows.append((panels, s1, (s2 - s1) / panels, d / r0,
+                     complex(uy, -ux), complex(ux, uy)))
+    panels, s1, step, scale, normal, along = (np.array(col) for col in zip(*rows))
+    # per panel: its edge and its index along that edge
+    edge = np.repeat(np.arange(3), panels)
+    k = np.arange(edge.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    half = 0.5 * step[edge]
+    s = (s1[edge] + (2 * k + 1) * half)[:, None] + half[:, None] * _NODES
+    sech = 1.0 / np.cosh(s)
+    rho = scale[edge, None] / sech
+    rho_p = rho**p
+    if p == -1.0:
+        kern, kern_prime = np.log(rho), rho_p
+    else:
+        kern, kern_prime = rho_p * rho, (p + 1.0) * rho_p
+    unit = (normal[edge, None] + np.sinh(s) * along[edge, None]) * sech
+    values, errors = _gk15_panels(kern * sech * unit, half)
+    magnitude = float(half @ (np.abs(kern) * sech @ _WK))
+    moment = half * ((kern_prime * unit) @ _WK)
+    gx = -(normal.real[edge] @ moment) / r0
+    gy = -(normal.imag[edge] @ moment) / r0
+    jac = np.array([[gx.real, gx.imag], [gy.real, gy.imag]])
+    return complex(values.sum()), magnitude, float(errors.sum()), jac
 
 
 def stationarity_residual(
@@ -183,7 +251,7 @@ def stationarity_residual(
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
     _require_strict_interior(tri, p_pt)
-    total, _, _, r0 = _scaled_residual(tri, p_pt, p, abs_tol, max_depth)
+    total, _, r0 = _scaled_residual(tri, p_pt, p, abs_tol, max_depth)
     if p != -1.0:
         total *= r0 ** (p + 1.0)
     return FieldVector(float(total.real), float(total.imag))
@@ -199,25 +267,27 @@ def rp_center(
 ) -> RpSolveReport:
     """Solve for the interior extreme point of V_p.
 
-    Damped 2D Newton on the stationarity residual with a central
-    finite-difference Jacobian (h = 1e-6 * diameter), starting from the
-    centroid unless x0 is given. Steps are halved until the iterate
-    stays interior with a 1e-6 * diameter margin. Convergence is on the
-    scale-normalized residual (|integral| / integral of |kernel|) so the
-    same tol is meaningful across exponents.
+    Damped 2D Newton on the stationarity residual, starting from the
+    centroid unless x0 is given. Each iterate evaluates the residual,
+    its error estimate and its exact Jacobian together on sinh-graded
+    Kronrod-15 edge panels (see the module docstring). Steps are halved
+    until the iterate stays interior with a 1e-6 * diameter margin.
+    Convergence is on the scale-normalized residual (|integral| /
+    integral of |kernel|) so the same tol is meaningful across exponents.
 
     Raises
     ------
     NoConvergence
         After max_iterations; carries the best iterate and its residual.
+    ToleranceNotReached
+        The panel rule's error estimate exceeds min(1e-12, 1e-3 * tol)
+        times max(1, integral of |kernel|).
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    diam = diameter(tri)
-    margin = INTERIOR_MARGIN_RTOL * diam
-    h = 1e-6 * diam
+    margin = INTERIOR_MARGIN_RTOL * diameter(tri)
     quad_tol = min(1e-12, max(1e-14, 1e-3 * tol))
 
     def admissible(q: Point2) -> bool:
@@ -226,34 +296,29 @@ def rp_center(
             and distance_to_boundary(tri, q) >= margin
         )
 
-    def scaled(q: Point2) -> np.ndarray:
-        val, _, _, _ = _scaled_residual(tri, q, p, quad_tol, 20)
-        return np.array([val.real, val.imag])
-
     x = x0 if x0 is not None else centroid(tri)
     if not admissible(x):
         raise NotInterior(f"starting point {x} lacks interior margin")
 
     best_x, best_norm = x, math.inf
     for iteration in range(1, max_iterations + 1):
-        val, mag, _, _ = _scaled_residual(tri, x, p, quad_tol, 20)
+        val, mag, err, jac = _edge_rule(tri, x, p)
+        budget = quad_tol * max(1.0, mag)
+        if err > budget:
+            raise ToleranceNotReached(
+                f"edge panel quadrature reached {err:.3e} absolute "
+                f"(target {budget:.3e})",
+                achieved=err,
+                target=budget,
+            )
         fx = np.array([val.real, val.imag])
-        norm = float(np.hypot(fx[0], fx[1]) / mag)
+        norm = abs(val) / mag
         if norm < best_norm:
             best_x, best_norm = x, norm
         if norm < tol:
             return RpSolveReport(
                 point=x, residual_norm=norm, iterations=iteration, p=p
             )
-        # FD probes shrink near the boundary so they stay evaluable.
-        hx = min(h, 0.45 * distance_to_boundary(tri, x))
-        jac = np.empty((2, 2))
-        jac[:, 0] = (scaled(Point2(x.x + hx, x.y)) - scaled(Point2(x.x - hx, x.y))) / (
-            2.0 * hx
-        )
-        jac[:, 1] = (scaled(Point2(x.x, x.y + hx)) - scaled(Point2(x.x, x.y - hx))) / (
-            2.0 * hx
-        )
         try:
             step = np.linalg.solve(jac, -fx)
         except np.linalg.LinAlgError:

@@ -346,3 +346,28 @@ def test_out_file_writing(tmp_path, capsys):
     payload = json.loads(target.read_text())
     validate(payload)
     assert payload["command"] == "center"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("center", "--sides", "3,4,5"),
+        ("search-value", "--sides", "6,9,13"),
+        ("rp-center", "--sides", "4,5,6", "--p", "2"),
+        ("arc", "--sides", "4,5,6", "--p-min", "1", "--p-max", "2", "--steps", "2"),
+        ("lambda-curve", "--sides", "4,5,6", "--lambda-min", "1",
+         "--lambda-max", "2", "--steps", "2"),
+        ("grid", "--sides", "1,1,1", "--n", "8", "--format", "csv"),
+        ("survey", "--n", "100"),
+        ("verify",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["error"]["type"] == "FileNotFoundError"
+    assert not target.exists()

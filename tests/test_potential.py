@@ -226,6 +226,41 @@ def test_brute_force_max_interior_and_deterministic():
     assert classify_point(tri, first) is PointLocation.INTERIOR
 
 
+def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
+    import numpy as np
+
+    from tripotential.potential import _interior_beyond
+
+    # side BC on the x axis from the origin: the distance to BC is |y|
+    # exactly, so the margin and the 1e-12 band can be hit to the bit
+    tri = Triangle(Point2(0.375, 0.75), Point2(0.0, 0.0), Point2(1.0, 0.0))
+    margin = 2.0 * BOUNDARY_EXCLUSION_RTOL * diameter(tri)
+    band = 1e-12 * 0.75  # BOUNDARY_BAND_RTOL times the height over BC
+    heights = [
+        -1e-13, -0.0, 0.0, 1e-13, 0.5 * band, band, np.nextafter(band, 1.0),
+        2.0 * band, np.nextafter(margin, 0.0), margin, np.nextafter(margin, 1.0),
+        2.0 * margin, 0.3,
+    ]
+    xs = [0.25, 0.5, 0.625]
+    x = np.array([xv for xv in xs for _ in heights])
+    y = np.array(heights * len(xs))
+    rng = make_rng(108)
+    x = np.concatenate([x, rng.uniform(-0.1, 1.1, 2000)])
+    y = np.concatenate([y, rng.uniform(-0.1, 0.85, 2000)])
+
+    def scalar(q):
+        return (
+            classify_point(tri, q) is PointLocation.INTERIOR
+            and not distance_to_boundary(tri, q) <= margin
+        )
+
+    expected = [scalar(Point2(float(a), float(b))) for a, b in zip(x, y)]
+    assert _interior_beyond(tri, x, y, margin).tolist() == expected
+    kept = [h for h, keep in zip(heights, expected) if keep]
+    assert kept == [np.nextafter(margin, 1.0), 2.0 * margin, 0.3]
+    assert sum(expected) > 500
+
+
 def test_brute_force_validates_grid():
     tri = triangle_from_sides(1, 1, 1)
     with pytest.raises(ValueError):

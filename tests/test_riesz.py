@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+import tripotential.riesz as rz
 from tripotential import (
     NoConvergence,
     NotInterior,
@@ -23,8 +25,11 @@ from tripotential import (
     solve_lambda,
     stationarity_residual,
     thomson_residual,
+    ToleranceNotReached,
     triangle_from_sides,
 )
+from tripotential.potential import cone_windows
+from tripotential.quadrature import integrate_adaptive
 
 from conftest import (
     make_rng,
@@ -336,3 +341,112 @@ def test_thomson_residual_scale_free():
     tri2 = transform_triangle(tri, scale=17.0)
     point2 = transform_point(point, scale=17.0)
     assert thomson_residual(tri2, point2) == pytest.approx(value, rel=1e-9)
+
+
+# ---- the edge-panel evaluator behind rp_center
+
+EDGE_RULE_EXPONENTS = (-30.0, -10.0, -4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 2.0, 10.0, 30.0)
+
+
+def _angular_reference(tri, q, p):
+    """The stationarity integral of the edge rule (R scaled by the ray
+    scale) by adaptive angular quadrature per cone window, driven to the
+    rounding floor."""
+    kern, r0 = rz._kernel(p), rz._ray_scale(tri, q)
+    total = 0.0 + 0.0j
+    for start, delta, ray in cone_windows(tri, q):
+
+        def f(phis, ray=ray):
+            return kern(ray(phis) / r0) * np.exp(1j * phis)
+
+        total += integrate_adaptive(
+            f, start, start + delta, abs_tol=0.0, rel_tol=1e-15, max_depth=50
+        ).value
+    return total
+
+
+def _inside_edge(tri, v1, v2, distance):
+    """The point `distance` inside the midpoint of edge (v1, v2)."""
+    length = v1.distance_to(v2)
+    nx, ny = -(v2.y - v1.y) / length, (v2.x - v1.x) / length
+    mx, my = 0.5 * (v1.x + v2.x), 0.5 * (v1.y + v2.y)
+    g = centroid(tri)
+    if (g.x - mx) * nx + (g.y - my) * ny < 0.0:
+        nx, ny = -nx, -ny
+    return Point2(mx + distance * nx, my + distance * ny)
+
+
+def test_edge_rule_matches_references_inside_and_next_to_an_edge(monkeypatch):
+    rng = make_rng(508)
+    interior = []
+    for _ in range(2):
+        tri = random_triangle(rng)
+        interior.append((tri, random_interior_point(rng, tri, margin=0.05), 1.0))
+    tri = triangle_from_sides(4, 5, 6)
+    A, B, _ = tri.vertices
+    near = [
+        (tri, _inside_edge(tri, A, B, rel * diameter(tri)), rel)
+        for rel in (1e-2, 1e-4, 2e-6)
+    ]
+    for tri, q, rel in interior + near:
+        for p in EDGE_RULE_EXPONENTS:
+            value, mag, error, _ = rz._edge_rule(tri, q, p)
+            budget = 1e-13 * max(1.0, mag)
+            assert error <= budget
+            # the angular reference: at 1e-4 and 2e-6 diameters from AB
+            # and p > 0 it can run to its 20000-interval limit (~1.5 s),
+            # and at p = 10, 30 it misses by up to 2.3e-6 * magnitude (the
+            # ray length is ill-conditioned at the window ends), so there
+            # the rule is checked only against itself on narrower panels
+            if rel >= 1e-2 or p <= 0.0:
+                ref = _angular_reference(tri, q, p)
+                assert abs(value - ref) <= 1e-12 * max(1.0, mag), (p, rel)
+            with monkeypatch.context() as m:
+                m.setattr(rz, "_PANEL_HALF_WIDTH", rz._PANEL_HALF_WIDTH / 4.0)
+                m.setattr(rz, "_PANEL_HALF_WIDTH_P", rz._PANEL_HALF_WIDTH_P / 4.0)
+                fine, fine_mag, _, _ = rz._edge_rule(tri, q, p)
+            assert abs(value - fine) <= budget, (p, rel)
+            # a normalizer only: |log| has a kink where R = r0 at p = -1
+            assert mag == pytest.approx(fine_mag, rel=1e-3)
+
+
+def test_edge_rule_jacobian_matches_central_differences():
+    rng = make_rng(509)
+    for _ in range(2):
+        tri = random_triangle(rng)
+        q = random_interior_point(rng, tri, margin=0.05)
+        h = 2e-5 * diameter(tri)
+        for p in (-4.0, -1.0, 0.0, 2.5):
+
+            def lit(x, y):
+                res = stationarity_residual(tri, Point2(x, y), p)
+                return np.array([res.ex, res.ey])
+
+            fd = np.column_stack([
+                (lit(q.x + h, q.y) - lit(q.x - h, q.y)) / (2.0 * h),
+                (lit(q.x, q.y + h) - lit(q.x, q.y - h)) / (2.0 * h),
+            ])
+            _, _, _, jac = rz._edge_rule(tri, q, p)
+            # the rule's Jacobian holds the ray scale r0 fixed, so it is
+            # the literal integral's Jacobian divided by r0^(p+1)
+            if p != -1.0:
+                jac = jac * rz._ray_scale(tri, q) ** (p + 1.0)
+            assert np.abs(jac - fd).max() <= 1e-5 * np.abs(fd).max(), p
+
+
+def test_rp_center_raises_when_the_panel_rule_is_too_coarse(monkeypatch):
+    tri = triangle_from_sides(4, 5, 6)
+    monkeypatch.setattr(rz, "_PANEL_HALF_WIDTH", 8.0)
+    monkeypatch.setattr(rz, "_PANEL_HALF_WIDTH_P", 100.0)
+    with pytest.raises(ToleranceNotReached):
+        rz.rp_center(tri, -1.0)
+
+
+def test_arc_points_pass_the_angular_oracle():
+    tri = triangle_from_sides(4, 5, 6)
+    tol = 1e-10
+    points = potential_arc(tri, [-10.0 + 0.25 * k for k in range(81)], tol)
+    assert len(points) == 81 and all(ap.converged for ap in points)
+    for ap in points:
+        total, magnitude, _ = rz._scaled_residual(tri, ap.point, ap.p, 1e-12, 20)
+        assert abs(total) / magnitude < tol, ap.p
