@@ -11,9 +11,13 @@ whole triangle becomes one scalar equation in lambda:
 
     sum_cyc sqrt((u^2 - a^2)(a^2 - (v - w)^2)) = 4 * area .
 
-The left side is strictly decreasing in lambda, so the root is unique and
-bracketing cannot fail. From the root, u, v, w give the distances to the
-vertices and the center's Cartesian coordinates via a linear system.
+The left side is strictly decreasing in lambda, so the root is unique.
+It is found by safeguarded Newton steps on log LHS - log RHS with the
+analytic slope: LHS decays exponentially in lambda on slivers, and the
+log form stays close to linear there. From the root, u, v, w give the
+distances to the vertices and the center's Cartesian coordinates via a
+linear system, solved relative to vertex A so that a far-off triangle
+loses no accuracy.
 
 Numerical care: the differences the equation consumes (u - a, v - w) are
 evaluated through coth(x) - 1/x and 1/sinh(x) so that no catastrophic
@@ -46,7 +50,6 @@ __all__ = [
     "uvw",
     "lambda_residual",
     "solve_lambda",
-    "point_from_uvw",
     "electrostatic_center",
     "stationarity_spreads",
     "center_function_trilinears",
@@ -117,7 +120,8 @@ class LambdaSolution:
     residual : float
         |LHS - RHS| at the accepted root.
     iterations : int
-        Residual evaluations spent (bracketing included).
+        Residual evaluations spent, Newton steps and bracketing fallbacks
+        alike (each evaluation also yields the slope).
     """
 
     lam: float
@@ -160,34 +164,76 @@ def _rhs(sides: SideLengths) -> float:
     return rhs_heron
 
 
-def _lhs_terms(sides: SideLengths, lam: float) -> tuple[float, float, float]:
-    """The three square-root terms of the lambda equation.
+def _g_parts(x: float, t: float) -> tuple[float, float, float]:
+    """(x*g(xt), x^2*g'(xt), 1/sinh(xt)) for one side x, g(u) = coth(u) - 1/u.
 
-    Each is computed as x/sinh(x*t) * sqrt(x^2 - (y*g(yt) - z*g(zt))^2)
-    with g(x) = coth(x) - 1/x, which keeps both factors accurate. A
-    radicand may graze zero from roundoff near the root; it is clamped
-    at 0 if above -1e-12 relative, below which genuine negativity is an
-    invariant violation.
+    g'(u) = 1/u^2 - csch^2(u) cancels for small u, where its series
+    1/3 - u^2/15 + 2u^4/189 - u^6/675 + ... is used instead.
+    """
+    u = x * t
+    csch = _inv_sinh(u)
+    if u <= 0.125:
+        u2 = u * u
+        dg = 1.0 / 3.0 + u2 * (
+            -1.0 / 15.0
+            + u2
+            * (
+                2.0 / 189.0
+                + u2
+                * (-1.0 / 675.0 + u2 * (2.0 / 10395.0 - u2 * 15202.0 / 638512875.0))
+            )
+        )
+    else:
+        dg = 1.0 / (u * u) - csch * csch
+    return x * _coth_less_inv(u), x * x * dg, csch
+
+
+def _lhs_terms(
+    sides: SideLengths, lam: float
+) -> tuple[tuple[float, float, float], float]:
+    """The three square-root terms of the lambda equation and dLHS/dlambda.
+
+    With t = lambda/2s each term is T_x = x*csch(xt)*sqrt(x^2 - D^2),
+    D = y*g(yt) - z*g(zt) and g(u) = coth(u) - 1/u, which keeps both
+    factors accurate. Its slope is
+
+        dT_x/dt = -x*csch(xt)*[x*coth(xt)*sqrt(x^2 - D^2) + D*D'/sqrt(x^2 - D^2)]
+
+    with D' = y^2*g'(yt) - z^2*g'(zt). A radicand may graze zero from
+    roundoff near the root; it is clamped at 0 if above -1e-12 relative,
+    below which genuine negativity is an invariant violation. The slope is
+    nan when a radicand clamps to 0 (the square root's derivative is
+    unbounded there).
     """
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     t = lam / (2.0 * sides.s)
+    inv_t = 1.0 / t
+    a, b, c = sides.a, sides.b, sides.c
+    ga, dga, csch_a = _g_parts(a, t)
+    gb, dgb, csch_b = _g_parts(b, t)
+    gc, dgc, csch_c = _g_parts(c, t)
     terms = []
-    for x, y, z in (
-        (sides.a, sides.b, sides.c),
-        (sides.b, sides.c, sides.a),
-        (sides.c, sides.a, sides.b),
+    dt = 0.0
+    for x, gx, csch_x, diff, ddiff in (
+        (a, ga, csch_a, gb - gc, dgb - dgc),
+        (b, gb, csch_b, gc - ga, dgc - dga),
+        (c, gc, csch_c, ga - gb, dga - dgb),
     ):
-        diff = y * _coth_less_inv(y * t) - z * _coth_less_inv(z * t)
         rad = (x - diff) * (x + diff)
-        if rad < 0.0:
+        if rad <= 0.0:
             if rad < -1e-12 * x * x:
                 raise NegativeRadicand(
                     f"radicand {rad} for side {x} at lambda={lam}"
                 )
-            rad = 0.0
-        terms.append(x * _inv_sinh(x * t) * math.sqrt(rad))
-    return tuple(terms)
+            terms.append(0.0)
+            dt = math.nan
+            continue
+        root = math.sqrt(rad)
+        terms.append(x * csch_x * root)
+        # x*coth(xt) = 1/t + x*g(xt)
+        dt -= x * csch_x * ((inv_t + gx) * root + diff * ddiff / root)
+    return tuple(terms), dt / (2.0 * sides.s)
 
 
 def lambda_residual(sides: SideLengths, lam: float) -> float:
@@ -196,139 +242,125 @@ def lambda_residual(sides: SideLengths, lam: float) -> float:
     Strictly decreasing in lambda: positive left of the root, negative
     right of it.
     """
-    return math.fsum(_lhs_terms(sides, lam)) - _rhs(sides)
+    return math.fsum(_lhs_terms(sides, lam)[0]) - _rhs(sides)
+
+
+# Residual evaluations after which solve_lambda gives up.
+_MAX_EVALS = 300
 
 
 def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     """Find the unique positive root of the lambda equation.
 
-    Brackets the root by geometric expansion from the shape-based initial
-    guess (guaranteed to terminate by strict monotonicity), then closes
-    in with an Illinois-damped secant/bisection hybrid. Converged when
-    the bracket width is below tol*lambda and the residual is below
-    tol*RHS.
+    Runs Newton's method on log LHS(lambda) - log RHS from the shape-based
+    initial guess, with the analytic slope from the same pass that
+    computes the three terms. LHS decays exponentially in lambda on
+    slivers, which the log form turns into a near-linear function. Every
+    evaluation tightens a sign bracket [lo, hi]; a step that leaves the
+    bracket, is not finite, or comes from a clamped radicand is replaced
+    by bisection, or by doubling/halving while one end of the bracket is
+    still missing. Converged when the residual is below tol*RHS and
+    either the Newton step or the bracket width is below tol*lambda.
 
     Raises
     ------
     BracketFailure
-        If no sign change appears within 60 doublings (degenerate input).
+        If no sign change appears within 60 doublings/halvings
+        (degenerate input).
+    TripotentialError
+        If the bracket shrinks to adjacent floats, or 300 residual
+        evaluations pass, before the residual test is met (roundoff in
+        LHS can exceed a tol near 1e-14 on slivers).
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")
     rhs = _rhs(sides)
-    residual = lambda lam: math.fsum(_lhs_terms(sides, lam)) - rhs  # noqa: E731
-
-    guess = initial_guess(sides)
-    lo, hi = guess / 8.0, 8.0 * guess
-    evals = 2
-    f_lo = residual(lo)
-    f_hi = residual(hi)
-    doublings = 0
-    while f_lo <= 0.0:
-        lo *= 0.5
-        f_lo = residual(lo)
-        evals += 1
-        doublings += 1
-        if doublings > 60:
-            raise BracketFailure(f"no positive residual down to lambda={lo}")
-    while f_hi >= 0.0:
-        hi *= 2.0
-        f_hi = residual(hi)
-        evals += 1
-        doublings += 1
-        if doublings > 60:
-            raise BracketFailure(f"no negative residual up to lambda={hi}")
-
-    x = 0.5 * (lo + hi)
-    fx = math.inf
-    last_side = 0
-    for _ in range(300):
-        denom = f_hi - f_lo
-        x = (lo * f_hi - hi * f_lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = residual(x)
-        evals += 1
-        if fx > 0.0:
-            lo, f_lo = x, fx
-            if last_side == 1:
-                f_hi *= 0.5  # Illinois trick against one-sided stagnation
-            last_side = 1
-        elif fx < 0.0:
-            hi, f_hi = x, fx
-            if last_side == -1:
-                f_lo *= 0.5
-            last_side = -1
+    lam = initial_guess(sides)
+    log_rhs = math.log(rhs)
+    lo, hi = 0.0, math.inf
+    expansions = 0
+    for evals in range(1, _MAX_EVALS + 1):
+        terms, slope = _lhs_terms(sides, lam)
+        lhs = math.fsum(terms)
+        f = lhs - rhs
+        if f > 0.0:
+            lo = lam
+        elif f < 0.0:
+            hi = lam
         else:
             break
-        if (hi - lo) < tol * x and abs(fx) < tol * rhs:
+        step = math.nan
+        if lhs > 0.0 and slope < 0.0:
+            step = (log_rhs - math.log(lhs)) * lhs / slope
+        if abs(f) < tol * rhs and (abs(step) <= tol * lam or hi - lo < tol * lam):
             break
+        lam_next = lam + step
+        if not lo < lam_next < hi:  # also catches a nan step
+            if lo > 0.0 and hi < math.inf:
+                lam_next = 0.5 * (lo + hi)
+                if not lo < lam_next < hi:
+                    raise TripotentialError(
+                        f"lambda bracket [{lo!r}, {hi!r}] collapsed with residual "
+                        f"{abs(f) / rhs:.3g}*RHS above tol={tol}"
+                    )
+            else:
+                expansions += 1
+                if expansions > 60:
+                    missing = "negative" if lo > 0.0 else "positive"
+                    raise BracketFailure(
+                        f"no {missing} residual reached by lambda={lam}"
+                    )
+                lam_next = 2.0 * lam if lo > 0.0 else 0.5 * lam
+        lam = lam_next
     else:
         raise TripotentialError("lambda iteration failed to converge")
 
-    t = x / (2.0 * sides.s)
-    inv_t = 2.0 * sides.s / x
-    ga = sides.a * _coth_less_inv(sides.a * t)
-    gb = sides.b * _coth_less_inv(sides.b * t)
-    gc = sides.c * _coth_less_inv(sides.c * t)
+    inv_t, ga, gb, gc = coth_parts(sides, lam)
     return LambdaSolution(
-        lam=x,
+        lam=lam,
         u=inv_t + ga,
         v=inv_t + gb,
         w=inv_t + gc,
         r_a=0.5 * (inv_t + gb + gc - ga),
         r_b=0.5 * (inv_t + gc + ga - gb),
         r_c=0.5 * (inv_t + ga + gb - gc),
-        residual=abs(fx),
+        residual=abs(f),
         iterations=evals,
     )
-
-
-def point_from_uvw(tri: Triangle, u: float, v: float, w: float) -> Point2:
-    """Radical-center style coordinates from the pairwise distance sums.
-
-    Subtracting the three vertex-distance circle equations pairwise
-    yields a linear system whose solution is:
-
-        x = [(|A|^2 - vw)(yB - yC) + (|B|^2 - wu)(yC - yA)
-             + (|C|^2 - uv)(yA - yB)] / [2 xA (yB - yC) + cyclic]
-
-    and the mirrored expression for y.
-    """
-    A, B, C = tri.vertices
-    qa = A.x * A.x + A.y * A.y - v * w
-    qb = B.x * B.x + B.y * B.y - w * u
-    qc = C.x * C.x + C.y * C.y - u * v
-    num_x = qa * (B.y - C.y) + qb * (C.y - A.y) + qc * (A.y - B.y)
-    den_x = 2.0 * (A.x * (B.y - C.y) + B.x * (C.y - A.y) + C.x * (A.y - B.y))
-    num_y = qa * (B.x - C.x) + qb * (C.x - A.x) + qc * (A.x - B.x)
-    den_y = 2.0 * (A.y * (B.x - C.x) + B.y * (C.x - A.x) + C.y * (A.x - B.x))
-    return Point2(num_x / den_x, num_y / den_y)
 
 
 def point_from_coth_parts(
     tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
 ) -> Point2:
-    """Same point as ``point_from_uvw`` with u = inv_t + ga etc., but with
-    the inv_t^2 products cancelled analytically.
+    """The point whose vertex-distance sums are u = inv_t + ga (and cyclic).
 
-    In the verbatim coordinate formula the products vw, wu, uv all carry
+    Subtracting the three vertex-distance circle equations pairwise
+    yields a linear system (radical-center style) whose solution is
+
+        x = [(|A|^2 - vw)(yB - yC) + (|B|^2 - wu)(yC - yA)
+             + (|C|^2 - uv)(yA - yB)] / [2 xA (yB - yC) + cyclic]
+
+    and the mirrored expression for y. The products vw, wu, uv all carry
     the common pole inv_t^2 = (2s/lambda)^2, which multiplies the
-    telescoping sums sum(yB - yC) = 0 and drops out exactly; evaluating
-    it numerically destroys the result for small lambda. This form stays
-    accurate down to lambda -> 0.
+    telescoping sums sum(yB - yC) = 0 and drops out exactly; it is
+    cancelled analytically here, since evaluating it numerically destroys
+    the result for small lambda. The system is solved relative to vertex
+    A, which keeps the squared vertex norms at the triangle's own scale,
+    so a triangle far from the origin loses nothing but the final
+    translation.
     """
     A, B, C = tri.vertices
-    qa = A.x * A.x + A.y * A.y - gb * gc
-    qb = B.x * B.x + B.y * B.y - gc * ga
-    qc = C.x * C.x + C.y * C.y - ga * gb
-    gy = ga * (B.y - C.y) + gb * (C.y - A.y) + gc * (A.y - B.y)
-    gx = ga * (B.x - C.x) + gb * (C.x - A.x) + gc * (A.x - B.x)
-    num_x = qa * (B.y - C.y) + qb * (C.y - A.y) + qc * (A.y - B.y) + inv_t * gy
-    den_x = 2.0 * (A.x * (B.y - C.y) + B.x * (C.y - A.y) + C.x * (A.y - B.y))
-    num_y = qa * (B.x - C.x) + qb * (C.x - A.x) + qc * (A.x - B.x) + inv_t * gx
-    den_y = 2.0 * (A.y * (B.x - C.x) + B.y * (C.x - A.x) + C.y * (A.x - B.x))
-    return Point2(num_x / den_x, num_y / den_y)
+    bx, by = B.x - A.x, B.y - A.y
+    cx, cy = C.x - A.x, C.y - A.y
+    qa = -gb * gc
+    qb = bx * bx + by * by - gc * ga
+    qc = cx * cx + cy * cy - ga * gb
+    gy = ga * (by - cy) + gb * cy - gc * by
+    gx = ga * (bx - cx) + gb * cx - gc * bx
+    num_x = qa * (by - cy) + qb * cy - qc * by + inv_t * gy
+    num_y = qa * (bx - cx) + qb * cx - qc * bx + inv_t * gx
+    den = 2.0 * (bx * cy - cx * by)
+    return Point2(A.x + num_x / den, A.y - num_y / den)
 
 
 def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, float]:
@@ -357,7 +389,7 @@ def electrostatic_center(
     """
     sides = side_lengths(tri)
     sol = solve_lambda(sides, tol)
-    p = point_from_uvw(tri, sol.u, sol.v, sol.w)
+    p = point_from_coth_parts(tri, *coth_parts(sides, sol.lam))
     diam = max(sides.a, sides.b, sides.c)
     allowed = max(1e-9, 100.0 * tol) * diam
     da, db, dc = vertex_distances(tri, p)
@@ -423,16 +455,14 @@ def center_function_trilinears(sides: SideLengths, tol: float = 1e-12) -> Trilin
     permutations (the root is symmetric in the sides). f is homogeneous
     of order 1 and symmetric in its last two arguments.
     """
-    sol = solve_lambda(sides, tol)
-    t = sol.lam / (2.0 * sides.s)
+    return _trilinears_at(sides, solve_lambda(sides, tol).lam)
 
-    def f(x: float, y: float, z: float) -> float:
-        diff = y * _coth_less_inv(y * t) - z * _coth_less_inv(z * t)
-        rad = max((x - diff) * (x + diff), 0.0)
-        return _inv_sinh(x * t) * math.sqrt(rad)
 
-    a, b, c = sides.a, sides.b, sides.c
-    return Trilinears(f(a, b, c), f(b, c, a), f(c, a, b))
+def _trilinears_at(sides: SideLengths, lam: float) -> Trilinears:
+    """Center-function trilinears at a solved root: f(a, b, c) is the
+    equation's term T_a divided by a."""
+    t_a, t_b, t_c = _lhs_terms(sides, lam)[0]
+    return Trilinears(t_a / sides.a, t_b / sides.b, t_c / sides.c)
 
 
 def kimberling_search_value(sides: SideLengths, tol: float = 1e-12) -> float:

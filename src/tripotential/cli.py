@@ -40,7 +40,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d[\d.,eE+-]*$")
 
 from . import estimates, riesz
 from .center import (
-    center_function_trilinears,
+    _trilinears_at,
     electrostatic_center,
     kimberling_search_value,
     solve_lambda,
@@ -169,7 +169,7 @@ def _cmd_center(args) -> int:
     tol = _check_tol(args.tol)
     tri = _triangle_from_args(args)
     point, sol = electrostatic_center(tri, tol)
-    tau = center_function_trilinears(side_lengths(tri), tol)
+    tau = _trilinears_at(side_lengths(tri), sol.lam)
     spread_side, spread_tan = stationarity_spreads(tri, point)
     field_norm = field_closed(tri, point).norm()
     report = {

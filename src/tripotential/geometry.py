@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -110,6 +111,13 @@ class Triangle:
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return (self.a_vertex, self.b_vertex, self.c_vertex)
 
+    @functools.cached_property
+    def sides(self) -> "SideLengths":
+        """Side lengths a = |BC|, b = |CA|, c = |AB|, computed and validated
+        on first access; a failed validation caches nothing and raises again."""
+        A, B, C = self.vertices
+        return SideLengths(B.distance_to(C), C.distance_to(A), A.distance_to(B))
+
     def edges(self) -> tuple[tuple[Point2, Point2], ...]:
         """Directed edges (A,B), (B,C), (C,A) in counterclockwise order."""
         A, B, C = self.vertices
@@ -186,9 +194,8 @@ class PointLocation(enum.Enum):
 
 
 def side_lengths(tri: Triangle) -> SideLengths:
-    """Side lengths of a triangle, a = |BC|, b = |CA|, c = |AB|."""
-    A, B, C = tri.vertices
-    return SideLengths(B.distance_to(C), C.distance_to(A), A.distance_to(B))
+    """Side lengths of a triangle, a = |BC|, b = |CA|, c = |AB| (cached on it)."""
+    return tri.sides
 
 
 def triangle_from_sides(a: float, b: float, c: float) -> Triangle:

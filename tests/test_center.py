@@ -28,7 +28,7 @@ from tripotential import (
     vertex_distances,
     PointLocation,
 )
-from tripotential.center import point_from_uvw
+from tripotential.center import coth_parts, point_from_coth_parts
 from tripotential.geometry import heron_area
 
 from conftest import (
@@ -283,9 +283,10 @@ def test_kimberling_value_equals_height_of_center():
     assert point.y == pytest.approx(SEARCH_VALUE_6_9_13, rel=1e-10)
 
 
-def test_point_from_uvw_consistency(golden_triangle):
-    sol = solve_lambda(side_lengths(golden_triangle))
-    p = point_from_uvw(golden_triangle, sol.u, sol.v, sol.w)
+def test_point_from_coth_parts_consistency(golden_triangle):
+    sides = side_lengths(golden_triangle)
+    sol = solve_lambda(sides)
+    p = point_from_coth_parts(golden_triangle, *coth_parts(sides, sol.lam))
     assert p.x == pytest.approx(GOLDEN_CENTER[0], abs=1e-12)
     assert p.y == pytest.approx(GOLDEN_CENTER[1], abs=1e-12)
 

@@ -49,6 +49,28 @@ def test_center_command_reference_values(capsys):
     assert payload["field_norm"] < 1e-10
 
 
+def test_center_command_solves_lambda_once(capsys, monkeypatch):
+    import tripotential.center as center
+    import tripotential.cli as cli
+
+    calls = []
+    solve = center.solve_lambda
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(center, "solve_lambda", counted)
+    monkeypatch.setattr(cli, "solve_lambda", counted)
+    code, out = run_cli(capsys, "center", "--vertices", "-1,0", "2,0", "0,2")
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["trilinears"] == pytest.approx(
+        [1.447156116428321, 1.6466115007515068, 1.4082963794461532], rel=1e-12
+    )
+
+
 def test_center_command_sides_equilateral(capsys):
     code, out = run_cli(capsys, "center", "--sides", "1,1,1")
     assert code == 0

@@ -61,6 +61,16 @@ def test_side_lengths_reference_triangle(golden_triangle):
     assert sl.s == pytest.approx((math.sqrt(8) + math.sqrt(5) + 3) / 2, rel=1e-15)
 
 
+def test_side_lengths_cached_and_validated_lazily(golden_triangle):
+    assert side_lengths(golden_triangle) is side_lengths(golden_triangle)
+    # A needle passes the collinearity test but fails the side-length
+    # validation: construction succeeds, and every side_lengths call raises.
+    needle = Triangle(Point2(0, 0), Point2(1, 0), Point2(0.5, 1e-7))
+    for _ in range(2):
+        with pytest.raises(DegenerateTriangle):
+            side_lengths(needle)
+
+
 def test_side_lengths_equilateral_any_pose():
     tri = transform_triangle(
         triangle_from_sides(1, 1, 1), angle=0.83, dx=-4.2, dy=1.7
