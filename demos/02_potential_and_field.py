@@ -1,7 +1,8 @@
 """Evaluate the potential and field, and cross-check every path.
 
 The library keeps two fully independent evaluations of the potential:
-a closed form built from the per-edge log-tangent antiderivative, and
+a closed form with one logarithm per edge (the line integral of 1/|PQ|
+along it, weighted by the edge's distance to the point), and
 an adaptive polar quadrature where only the smooth 1D angular integral
 is done numerically. This demo shows them agreeing to ~1e-12 and probes
 the closed-form field against finite differences.

@@ -46,8 +46,6 @@ from .geometry import (
 
 __all__ = [
     "LambdaSolution",
-    "coth",
-    "uvw",
     "lambda_residual",
     "solve_lambda",
     "electrostatic_center",
@@ -55,21 +53,6 @@ __all__ = [
     "center_function_trilinears",
     "kimberling_search_value",
 ]
-
-
-def coth(x: float) -> float:
-    """Hyperbolic cotangent for x > 0, stable at both ends.
-
-    Uses the Laurent series below 1e-4 (preserving the 1/x pole
-    accurately), 1/tanh in midrange, and 1 + 2*exp(-2x)*(1 + exp(-2x))
-    above 20 where tanh saturates to 1.
-    """
-    if x < 1e-4:
-        return 1.0 / x + x / 3.0 - x**3 / 45.0
-    if x <= 20.0:
-        return 1.0 / math.tanh(x)
-    e2 = math.exp(-2.0 * x)
-    return 1.0 + 2.0 * e2 * (1.0 + e2)
 
 
 def _coth_less_inv(x: float) -> float:
@@ -133,18 +116,6 @@ class LambdaSolution:
     r_c: float
     residual: float
     iterations: int
-
-
-def uvw(sides: SideLengths, lam: float) -> tuple[float, float, float]:
-    """The coth quantities u, v, w = a*coth(a*lam/2s) and cyclic."""
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    t = lam / (2.0 * sides.s)
-    return (
-        sides.a * coth(sides.a * t),
-        sides.b * coth(sides.b * t),
-        sides.c * coth(sides.c * t),
-    )
 
 
 def _rhs(sides: SideLengths) -> float:
@@ -349,6 +320,15 @@ def point_from_coth_parts(
     so a triangle far from the origin loses nothing but the final
     translation.
     """
+    A = tri.a_vertex
+    dx, dy = _offset_from_a(tri, inv_t, ga, gb, gc)
+    return Point2(A.x + dx, A.y + dy)
+
+
+def _offset_from_a(
+    tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
+) -> tuple[float, float]:
+    """``point_from_coth_parts``'s solution minus vertex A."""
     A, B, C = tri.vertices
     bx, by = B.x - A.x, B.y - A.y
     cx, cy = C.x - A.x, C.y - A.y
@@ -360,7 +340,7 @@ def point_from_coth_parts(
     num_x = qa * (by - cy) + qb * cy - qc * by + inv_t * gy
     num_y = qa * (bx - cx) + qb * cx - qc * bx + inv_t * gx
     den = 2.0 * (bx * cy - cx * by)
-    return Point2(A.x + num_x / den, A.y - num_y / den)
+    return num_x / den, -num_y / den
 
 
 def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, float]:
@@ -389,10 +369,16 @@ def electrostatic_center(
     """
     sides = side_lengths(tri)
     sol = solve_lambda(sides, tol)
-    p = point_from_coth_parts(tri, *coth_parts(sides, sol.lam))
+    A, B, C = tri.vertices
+    dx, dy = _offset_from_a(tri, *coth_parts(sides, sol.lam))
+    p = Point2(A.x + dx, A.y + dy)
     diam = max(sides.a, sides.b, sides.c)
     allowed = max(1e-9, 100.0 * tol) * diam
-    da, db, dc = vertex_distances(tri, p)
+    # Distances from the offset, not from p: p's absolute coordinates are
+    # rounded to the ulp of the translation, which may exceed the bound.
+    da = math.hypot(dx, dy)
+    db = math.hypot(dx - (B.x - A.x), dy - (B.y - A.y))
+    dc = math.hypot(dx - (C.x - A.x), dy - (C.y - A.y))
     mismatch = max(abs(da - sol.r_a), abs(db - sol.r_b), abs(dc - sol.r_c))
     if mismatch > allowed:
         raise TripotentialError(

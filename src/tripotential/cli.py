@@ -102,13 +102,17 @@ def _add_triangle_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_common_options(parser: argparse.ArgumentParser, default_tol: float) -> None:
+def _add_common_options(
+    parser: argparse.ArgumentParser, default_tol: float | None
+) -> None:
+    """--format and --out, plus --tol unless default_tol is None."""
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="output format"
     )
-    parser.add_argument(
-        "--tol", type=float, default=default_tol, help="solver tolerance"
-    )
+    if default_tol is not None:
+        parser.add_argument(
+            "--tol", type=float, default=default_tol, help="solver tolerance"
+        )
     parser.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -157,11 +161,31 @@ def _csv_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
+def _report(args, report: dict, header: list[str], rows: list[list]) -> int:
+    """Write report as JSON, or header and rows as CSV, per --format."""
+    if args.format == "json":
+        _emit(json.dumps(report, indent=2), args.out)
+    else:
+        _emit(_csv_table(header, rows), args.out)
+    return 0
+
+
 def _triangle_info(tri: Triangle) -> dict:
     sl = side_lengths(tri)
     return {
         "vertices": [[v.x, v.y] for v in tri.vertices],
         "sides": [sl.a, sl.b, sl.c],
+    }
+
+
+def _rows_report(
+    command: str, tri: Triangle, header: list[str], rows: list[list]
+) -> dict:
+    """JSON report of a table command: one object per row."""
+    return {
+        "command": command,
+        "triangle": _triangle_info(tri),
+        "rows": [dict(zip(header, row)) for row in rows],
     }
 
 
@@ -201,22 +225,18 @@ def _cmd_center(args) -> int:
             "residual": "length^2",
         },
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        header = [
-            "lambda", "u", "v", "w", "r_a", "r_b", "r_c",
-            "center_x", "center_y", "tau_a", "tau_b", "tau_c",
-            "side_relation_spread", "tangent_relation_spread",
-            "field_norm", "residual", "iterations",
-        ]
-        row = [
-            sol.lam, sol.u, sol.v, sol.w, sol.r_a, sol.r_b, sol.r_c,
-            point.x, point.y, tau.tau_a, tau.tau_b, tau.tau_c,
-            spread_side, spread_tan, field_norm, sol.residual, sol.iterations,
-        ]
-        _emit(_csv_table(header, [row]), args.out)
-    return 0
+    header = [
+        "lambda", "u", "v", "w", "r_a", "r_b", "r_c",
+        "center_x", "center_y", "tau_a", "tau_b", "tau_c",
+        "side_relation_spread", "tangent_relation_spread",
+        "field_norm", "residual", "iterations",
+    ]
+    row = [
+        sol.lam, sol.u, sol.v, sol.w, sol.r_a, sol.r_b, sol.r_c,
+        point.x, point.y, tau.tau_a, tau.tau_b, tau.tau_c,
+        spread_side, spread_tan, field_norm, sol.residual, sol.iterations,
+    ]
+    return _report(args, report, header, [row])
 
 
 def _cmd_search_value(args) -> int:
@@ -236,11 +256,7 @@ def _cmd_search_value(args) -> int:
         "d_a": d_a,
         "formatted": formatted,
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        _emit(_csv_table(["d_a"], [[formatted]]), args.out)
-    return 0
+    return _report(args, report, ["d_a"], [[formatted]])
 
 
 def _cmd_rp_center(args) -> int:
@@ -255,13 +271,9 @@ def _cmd_rp_center(args) -> int:
         "residual_norm": rep.residual_norm,
         "iterations": rep.iterations,
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        header = ["p", "x", "y", "residual_norm", "iterations"]
-        row = [rep.p, rep.point.x, rep.point.y, rep.residual_norm, rep.iterations]
-        _emit(_csv_table(header, [row]), args.out)
-    return 0
+    header = ["p", "x", "y", "residual_norm", "iterations"]
+    row = [rep.p, rep.point.x, rep.point.y, rep.residual_norm, rep.iterations]
+    return _report(args, report, header, [row])
 
 
 def _arc_rows(tri: Triangle, points: list[riesz.ArcPoint]) -> list[list]:
@@ -293,16 +305,7 @@ def _cmd_arc(args) -> int:
         raise TripotentialError("no arc point converged")
     rows = _arc_rows(tri, points)
     header = ["p", "x", "y", "residual", "iterations", "converged", "thomson"]
-    if args.format == "json":
-        report = {
-            "command": "arc",
-            "triangle": _triangle_info(tri),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        _emit(_csv_table(header, rows), args.out)
-    return 0
+    return _report(args, _rows_report("arc", tri, header, rows), header, rows)
 
 
 def _cmd_lambda_curve(args) -> int:
@@ -323,16 +326,9 @@ def _cmd_lambda_curve(args) -> int:
     curve = riesz.lambda_curve(tri, values)
     header = ["lambda", "x", "y"]
     rows = [[lam, pt.x, pt.y] for lam, pt in curve]
-    if args.format == "json":
-        report = {
-            "command": "lambda-curve",
-            "triangle": _triangle_info(tri),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        _emit(_csv_table(header, rows), args.out)
-    return 0
+    return _report(
+        args, _rows_report("lambda-curve", tri, header, rows), header, rows
+    )
 
 
 # Points per block of grid rows evaluated at once: large enough to amortize
@@ -428,14 +424,10 @@ def _cmd_survey(args) -> int:
         "max": summary.maximum,
         "mean": summary.mean,
     }
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2), args.out)
-    else:
-        header = ["min", "max", "mean", "n_samples", "n_used", "seed"]
-        row = [summary.minimum, summary.maximum, summary.mean,
-               summary.n_samples, summary.n_used, summary.seed]
-        _emit(_csv_table(header, [row]), args.out)
-    return 0
+    header = ["min", "max", "mean", "n_samples", "n_used", "seed"]
+    row = [summary.minimum, summary.maximum, summary.mean,
+           summary.n_samples, summary.n_used, summary.seed]
+    return _report(args, report, header, [row])
 
 
 def _verify_checks(tol_override: float | None) -> list[dict]:
@@ -525,14 +517,14 @@ def _cmd_verify(args) -> int:
         raise ValueError("tolerance must be positive")
     checks = _verify_checks(tol_override)
     passed = all(c["passed"] for c in checks)
-    if args.json or args.format == "json":
-        _emit(json.dumps({"command": "verify", "passed": passed,
-                          "checks": checks}, indent=2), args.out)
-    elif args.format == "csv":
+    if args.json:
+        args.format = "json"
+    if args.format != "table":
         header = ["name", "error", "tolerance", "passed"]
         rows = [[c["name"], c["error"], c["tolerance"], c["passed"]]
                 for c in checks]
-        _emit(_csv_table(header, rows), args.out)
+        report = {"command": "verify", "passed": passed, "checks": checks}
+        _report(args, report, header, rows)
     else:
         width = max(len(c["name"]) for c in checks)
         lines = []
@@ -601,13 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triangle_options(p_grid)
     p_grid.add_argument("--n", type=int, default=64,
                         help="grid resolution per axis (8..2048)")
-    _add_common_options(p_grid, 1e-12)
+    _add_common_options(p_grid, None)
     p_grid.set_defaults(func=_cmd_grid)
 
     p_survey = sub.add_parser("survey", help="empirical lambda-excess ratio band")
     p_survey.add_argument("--n", type=int, default=1000)
     p_survey.add_argument("--seed", type=int, default=0)
-    _add_common_options(p_survey, 1e-12)
+    _add_common_options(p_survey, None)
     p_survey.set_defaults(func=_cmd_survey)
 
     p_verify = sub.add_parser("verify", help="golden-value regression")

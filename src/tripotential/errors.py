@@ -20,9 +20,10 @@ class NotInterior(TripotentialError):
 
 
 class TooCloseToBoundary(TripotentialError):
-    """Closed-form evaluation rejected: the point lies inside the numerical
-    exclusion band around the triangle boundary, where the log-tan
-    antiderivatives lose all precision."""
+    """Closed-form evaluation rejected: the point lies within 1e-9 times
+    the diameter of the triangle boundary. The closed forms stay accurate
+    there; the band is part of their contract (use the quadrature path,
+    and the field diverges at the boundary itself)."""
 
 
 class ToleranceNotReached(TripotentialError):

@@ -66,9 +66,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got {self}")
 
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -143,10 +140,6 @@ class SideLengths:
                 f"sides ({a}, {b}, {c}) violate the strict triangle inequality"
             )
         object.__setattr__(self, "s", 0.5 * (a + b + c))
-
-    def permuted(self) -> tuple["SideLengths", "SideLengths"]:
-        """Cyclic permutations (b, c, a) and (c, a, b)."""
-        return SideLengths(self.b, self.c, self.a), SideLengths(self.c, self.a, self.b)
 
 
 @dataclass(frozen=True)

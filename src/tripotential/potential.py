@@ -3,15 +3,24 @@
 The potential is V(P) = integral over the triangle of 1/|PQ| dQ, with the
 physical constants (Coulomb constant, charge density) normalized to 1.
 
-Everything here works through the polar decomposition about the
-evaluation point: the triangle is the signed union of the three cones
-spanned at P by its edges, and inside each cone the radial part of the
-integral is exact. For V that leaves the 1D angular integral of the
-ray length R(phi), which has the elementary antiderivative
-d * log tan(psi/2) per edge (``potential_closed``) and is also integrated
-numerically as an independent cross-check (``potential_quadrature``).
-``potential_field_batch`` evaluates the closed forms of V and E over point
-arrays with the scalar functions' arithmetic.
+The closed forms are boundary forms (divergence theorem). Each edge e,
+of length L and with endpoints at distances r1, r2 from P, contributes
+one logarithm, the line integral of 1/|PQ| along it:
+
+    l_e = log((r1 + r2 + L) / (r1 + r2 - L)),
+
+and with h_e the signed distance from P to the edge's line (positive on
+the triangle's side) and n_e the outward unit normal,
+
+    V = sum_e h_e * l_e,        E = -grad V = sum_e n_e * l_e
+
+(the classical polygon potential integrals; Wilton et al., IEEE TAP
+32(3), 1984). ``potential_closed`` and ``field_closed`` evaluate them at
+one point, ``potential_field_batch`` over point arrays. Independently,
+the triangle is the signed union of the three cones spanned at P by its
+edges; inside each cone the radial part of the integral is exact, which
+leaves the 1D angular integral of the ray length R(phi), integrated
+numerically as the cross-check ``potential_quadrature``.
 """
 
 from __future__ import annotations
@@ -30,11 +39,9 @@ from .geometry import (
     Triangle,
     _distance_to_boundary_array,
     _normalized_edge_heights,
-    cevian_angles,
     classify_point,
     diameter,
     distance_to_boundary,
-    side_lengths,
 )
 from .quadrature import _NODES, _WK, integrate_adaptive
 
@@ -50,7 +57,9 @@ __all__ = [
 ]
 
 # Closed forms reject points closer to the boundary than this times the
-# diameter: the log tan(psi/2) antiderivative loses all precision there.
+# diameter. The boundary form itself stays accurate there; the band is
+# kept as part of the API (TooCloseToBoundary, and the points ``grid``
+# sends to quadrature).
 BOUNDARY_EXCLUSION_RTOL = 1e-9
 
 
@@ -118,13 +127,37 @@ def _require_off_boundary(tri: Triangle, p: Point2) -> None:
         )
 
 
-def potential_closed(tri: Triangle, p: Point2) -> float:
-    """Potential at p via the per-edge log-tangent antiderivative.
+def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
+    """(V, Ex, Ey) at p from one log per edge, without the exclusion test.
 
-    Valid for interior and exterior points. Each edge cone (p, V1, V2)
-    contributes sign * d * [log tan(psi/2)] between its entry and exit
-    angles, where d is the distance from p to the edge's line and the
-    sign is the cone's orientation; the signed cones sum to the triangle.
+    With u, w the vectors from p to the edge's endpoints (r1, r2 their
+    lengths), the small denominator of l_e is formed without
+    cancellation: r1 + r2 - L = 2*m/(r1 + r2 + L) with m = r1*r2 + u.w,
+    which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
+    """
+    v = fx = fy = 0.0
+    for v1, v2 in tri.edges():
+        ux, uy = v1.x - p.x, v1.y - p.y
+        wx, wy = v2.x - p.x, v2.y - p.y
+        cr = ux * wy - uy * wx
+        dot = ux * wx + uy * wy
+        r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
+        ex, ey = v2.x - v1.x, v2.y - v1.y
+        length = math.hypot(ex, ey)
+        s = r1 + r2 + length
+        m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
+        ell = math.log(0.5 * s * (s / m)) / length  # l_e / L
+        v += cr * ell
+        fx += ey * ell
+        fy -= ex * ell
+    return v, fx, fy
+
+
+def potential_closed(tri: Triangle, p: Point2) -> float:
+    """Potential at p from the boundary form V = sum_e h_e * l_e.
+
+    Valid for interior and exterior points; h_e is negative for an edge
+    whose line separates p from the triangle.
 
     Raises
     ------
@@ -132,26 +165,7 @@ def potential_closed(tri: Triangle, p: Point2) -> float:
         If p is within 1e-9 * diameter of a boundary segment.
     """
     _require_off_boundary(tri, p)
-    total = 0.0
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - p.x, v1.y - p.y
-        wx, wy = v2.x - p.x, v2.y - p.y
-        cr = ux * wy - uy * wx
-        ru = math.hypot(ux, uy)
-        rw = math.hypot(wx, wy)
-        if abs(cr) <= 1e-15 * ru * rw:
-            continue  # collapsed cone: p on the edge's line, zero measure
-        ex, ey = v2.x - v1.x, v2.y - v1.y
-        d = abs(cr) / math.hypot(ex, ey)
-        # Angles of the cone at the edge's endpoints, in (0, pi).
-        theta1 = math.atan2(abs(cr), -(ux * ex + uy * ey))
-        theta2 = math.atan2(abs(cr), wx * ex + wy * ey)
-        # antiderivative log tan(psi/2) between psi=theta1 and psi=pi-theta2
-        piece = math.log(math.tan(0.5 * (math.pi - theta2))) - math.log(
-            math.tan(0.5 * theta1)
-        )
-        total += math.copysign(d, cr) * piece
-    return total
+    return _edge_sums(tri, p)[0]
 
 
 def potential_quadrature(
@@ -208,14 +222,8 @@ def potential_quadrature(
 def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     """Field E = -grad V at a strictly interior point, in closed form.
 
-    Assembles the per-edge antiderivative of the polar field integral;
-    the vertex log-distance terms cancel pairwise between adjacent edges,
-    leaving one log-tangent-product term per edge directed along that
-    edge, rotated by -90 degrees:
-
-        E = -i * sum_edges (unit edge vector) * log(tan(t1/2) tan(t2/2))
-
-    with t1, t2 the angles the point subtends at the edge's endpoints.
+    E = sum_e n_e * l_e with n_e the outward unit normal of edge e: the
+    same per-edge logs as ``potential_closed``.
 
     Raises
     ------
@@ -227,17 +235,8 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     if classify_point(tri, p) is not PointLocation.INTERIOR:
         raise NotInterior(f"field is only defined strictly inside, got {p}")
     _require_off_boundary(tri, p)
-    ang = cevian_angles(tri, p)
-    sl = side_lengths(tri)
-    A, B, C = tri.vertices
-    a_vec = complex(B.x - C.x, B.y - C.y) / sl.a  # direction of CB
-    b_vec = complex(C.x - A.x, C.y - A.y) / sl.b  # direction of AC
-    c_vec = complex(A.x - B.x, A.y - B.y) / sl.c  # direction of BA
-    log_a = math.log(math.tan(0.5 * ang.beta1) * math.tan(0.5 * ang.gamma2))
-    log_b = math.log(math.tan(0.5 * ang.gamma1) * math.tan(0.5 * ang.alpha2))
-    log_c = math.log(math.tan(0.5 * ang.alpha1) * math.tan(0.5 * ang.beta2))
-    e = -1j * (a_vec * log_a + b_vec * log_b + c_vec * log_c)
-    return FieldVector(e.real, e.imag)
+    _, ex, ey = _edge_sums(tri, p)
+    return FieldVector(ex, ey)
 
 
 class FieldBatch(NamedTuple):
@@ -258,54 +257,33 @@ class FieldBatch(NamedTuple):
     excluded: np.ndarray
 
 
-def _potential_array(tri: Triangle, x, y):
-    """``potential_closed``'s per-edge sum, elementwise, without the
-    exclusion test."""
-    total = np.zeros(x.shape)
+def _edge_sums_array(tri: Triangle, x, y):
+    """``_edge_sums`` elementwise over coordinate arrays."""
+    v = fx = fy = 0.0
     for v1, v2 in tri.edges():
         ux, uy = v1.x - x, v1.y - y
         wx, wy = v2.x - x, v2.y - y
         cr = ux * wy - uy * wx
+        dot = ux * wx + uy * wy
+        r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
         ex, ey = v2.x - v1.x, v2.y - v1.y
-        d = np.abs(cr) / math.hypot(ex, ey)
-        theta1 = np.arctan2(np.abs(cr), -(ux * ex + uy * ey))
-        theta2 = np.arctan2(np.abs(cr), wx * ex + wy * ey)
-        piece = np.log(np.tan(0.5 * (math.pi - theta2))) - np.log(
-            np.tan(0.5 * theta1)
-        )
-        collapsed = np.abs(cr) <= 1e-15 * np.hypot(ux, uy) * np.hypot(wx, wy)
-        total += np.where(collapsed, 0.0, np.copysign(d, cr) * piece)
-    return total
-
-
-def _field_array(tri: Triangle, x, y):
-    """``field_closed``'s per-edge sum, elementwise, at strictly interior
-    points; same arithmetic, edge order BC, CA, AB."""
-    A, B, C = tri.vertices
-    sum_x = sum_y = 0.0
-    for v1, v2 in ((B, C), (C, A), (A, B)):
-        length = v1.distance_to(v2)
-        # angles the point subtends at v1 and at v2, as in cevian_angles
-        px, py = x - v1.x, y - v1.y
-        qx, qy = v2.x - v1.x, v2.y - v1.y
-        t1 = np.arctan2(np.abs(qx * py - qy * px), qx * px + qy * py)
-        px, py = x - v2.x, y - v2.y
-        qx, qy = v1.x - v2.x, v1.y - v2.y
-        t2 = np.arctan2(np.abs(px * qy - py * qx), px * qx + py * qy)
-        log_t = np.log(np.tan(0.5 * t1) * np.tan(0.5 * t2))
-        sum_x = sum_x + (v1.x - v2.x) / length * log_t
-        sum_y = sum_y + (v1.y - v2.y) / length * log_t
-    return sum_y, -sum_x
+        length = math.hypot(ex, ey)
+        s = r1 + r2 + length
+        r1r2 = r1 * r2
+        m = np.where(dot >= 0.0, r1r2 + dot, cr * (cr / (r1r2 - dot)))
+        ell = np.log(0.5 * s * (s / m)) / length
+        v = v + cr * ell
+        fx = fx + ey * ell
+        fy = fy - ex * ell
+    return v, fx, fy
 
 
 def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
-    Evaluates the scalar functions' per-edge closed forms with the same
-    arithmetic, vectorized over points, so results agree to rounding of
-    the elementary functions. Where a scalar function would raise, the
-    masks say why and the value is nan. For one point the scalar
-    functions are faster.
+    One pass of the same per-edge logs gives V and E together. Where a
+    scalar function would raise, the masks say why and the value is nan.
+    For one point the scalar functions are faster.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -317,13 +295,16 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
         <= BOUNDARY_EXCLUSION_RTOL * diameter(tri)
     )
     has_field = interior & ~excluded
-    ex = np.full(x.shape, math.nan)
-    ey = np.full(x.shape, math.nan)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v = _potential_array(tri, x, y)
-        ex[has_field], ey[has_field] = _field_array(tri, x[has_field], y[has_field])
-    v[excluded] = math.nan
-    return FieldBatch(v, ex, ey, interior, exterior, excluded)
+        v, ex, ey = _edge_sums_array(tri, x, y)
+    return FieldBatch(
+        np.where(excluded, math.nan, v),
+        np.where(has_field, ex, math.nan),
+        np.where(has_field, ey, math.nan),
+        interior,
+        exterior,
+        excluded,
+    )
 
 
 def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):

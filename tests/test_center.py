@@ -24,7 +24,6 @@ from tripotential import (
     stationarity_spreads,
     triangle_from_sides,
     trilinear_to_cartesian,
-    uvw,
     vertex_distances,
     PointLocation,
 )
@@ -44,7 +43,13 @@ from conftest import (
 )
 
 
-def test_uvw_equilateral_closed_form():
+def uvw(sides, lam):
+    """u, v, w = a*coth(a*lam/2s) and cyclic, from their coth parts."""
+    inv_t, ga, gb, gc = coth_parts(sides, lam)
+    return inv_t + ga, inv_t + gb, inv_t + gc
+
+
+def test_coth_parts_equilateral_closed_form():
     # at the equilateral root, coth(lambda/3) = 2/sqrt(3)
     sides = SideLengths(1, 1, 1)
     u, v, w = uvw(sides, lambda_equilateral())
@@ -52,7 +57,7 @@ def test_uvw_equilateral_closed_form():
     assert v == u and w == u
 
 
-def test_uvw_limits():
+def test_coth_parts_limits():
     sides = SideLengths(3, 4, 5)
     u, v, w = uvw(sides, 1e8)
     assert (u, v, w) == pytest.approx((3.0, 4.0, 5.0), rel=1e-14)
@@ -63,9 +68,9 @@ def test_uvw_limits():
         assert val == pytest.approx(leading, rel=1e-3)
 
 
-def test_uvw_rejects_nonpositive_lambda():
+def test_coth_parts_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        uvw(SideLengths(3, 4, 5), 0.0)
+        coth_parts(SideLengths(3, 4, 5), 0.0)
 
 
 def test_lambda_residual_equilateral_root():

@@ -167,7 +167,7 @@ def test_bracket_failure_after_sixty_expansions(monkeypatch, guess):
         solve_lambda(SideLengths(3, 4, 5))
 
 
-@pytest.mark.parametrize("offset", [1e3, 1e4, 1e6])
+@pytest.mark.parametrize("offset", [1e3, 1e4, 1e6, 1e8])
 def test_center_far_from_origin(offset):
     # Dyadic vertices, so the translated triangle is the same triangle.
     base = ((0.0, 0.0), (1.0, 0.0), (0.375, 0.8125))

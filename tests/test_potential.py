@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -366,3 +367,64 @@ def test_field_batch_grid_row_on_side_bc():
     batch = assert_batch_matches_scalar(tri, xs, [1e-10 * height] * n)
     assert list(batch.excluded) == on_side
     assert (batch.interior & batch.excluded).sum() > 25
+
+
+def boundary_form_reference(tri, p):
+    """(V, Ex, Ey) at p from the boundary form with 50 digits:
+    l_e = log((r1 + r2 + L)/(r1 + r2 - L)), V = sum h_e l_e and
+    E = sum n_e l_e over the counterclockwise edges."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        px, py = Decimal(p.x), Decimal(p.y)
+        v = ex = ey = Decimal(0)
+        for v1, v2 in tri.edges():
+            ux, uy = Decimal(v1.x) - px, Decimal(v1.y) - py
+            wx, wy = Decimal(v2.x) - px, Decimal(v2.y) - py
+            dx, dy = wx - ux, wy - uy
+            length = (dx * dx + dy * dy).sqrt()
+            r1 = (ux * ux + uy * uy).sqrt()
+            r2 = (wx * wx + wy * wy).sqrt()
+            ell = ((r1 + r2 + length) / (r1 + r2 - length)).ln() / length
+            v += (ux * wy - uy * wx) * ell
+            ex += dy * ell
+            ey -= dx * ell
+        return float(v), float(ex), float(ey)
+
+
+def points_next_to_vertices(tri):
+    """Per vertex and adjacent edge: 1e-6 of the edge's length along it
+    from the vertex, and 2e-9, 1e-8, 1e-7 diameters inside it."""
+    d = diameter(tri)
+    g = centroid(tri)
+    points = []
+    for v1, v2 in tri.edges():
+        for start, end in ((v1, v2), (v2, v1)):
+            length = start.distance_to(end)
+            tx, ty = (end.x - start.x) / length, (end.y - start.y) / length
+            nx, ny = -ty, tx
+            if (g.x - start.x) * nx + (g.y - start.y) * ny < 0.0:
+                nx, ny = -nx, -ny
+            for h in (2e-9, 1e-8, 1e-7):
+                points.append(Point2(
+                    start.x + 1e-6 * length * tx + h * d * nx,
+                    start.y + 1e-6 * length * ty + h * d * ny,
+                ))
+    return points
+
+
+@pytest.mark.parametrize("sides", [(4, 5, 6), (1, 1, 1), (1, 1, 1.9)])
+def test_closed_forms_next_to_vertices_against_high_precision(sides):
+    tri = triangle_from_sides(*sides)
+    points = points_next_to_vertices(tri)
+    batch = potential_field_batch(
+        tri, [p.x for p in points], [p.y for p in points]
+    )
+    assert batch.interior.all() and not batch.excluded.any()
+    for k, p in enumerate(points):
+        v_ref, ex_ref, ey_ref = boundary_form_reference(tri, p)
+        e_ref = math.hypot(ex_ref, ey_ref)
+        field = field_closed(tri, p)
+        assert math.hypot(field.ex - ex_ref, field.ey - ey_ref) <= 1e-13 * e_ref
+        assert math.hypot(batch.ex[k] - ex_ref, batch.ey[k] - ey_ref) <= 1e-13 * e_ref
+        assert abs(potential_closed(tri, p) - v_ref) <= 1e-14 * v_ref
+        assert abs(batch.v[k] - v_ref) <= 1e-14 * v_ref
