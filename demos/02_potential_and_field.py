@@ -37,12 +37,14 @@ for _ in range(5):
     vq = potential_quadrature(tri, p, QuadratureConfig(target_rel_tol=1e-12))
     print(f"  V = {vc:.15f}   |closed - quadrature| = {abs(vc - vq):.2e}")
 
-# The quadrature path also handles the boundary, where the closed form
-# must refuse (its antiderivative degenerates there).
-print("\npotential on the boundary (quadrature only):")
-print("  at vertex A:   ", potential_quadrature(tri, A))
-print("  at midpoint BC:", potential_quadrature(
-    tri, Point2(0.5 * (B.x + C.x), 0.5 * (B.y + C.y))))
+# Both paths also hold on the boundary: there the closed form's term of
+# the edge through the point vanishes, and its cone collapses.
+print("\npotential on the boundary (closed form vs quadrature):")
+mid_bc = Point2(0.5 * (B.x + C.x), 0.5 * (B.y + C.y))
+for name, p in (("vertex A", A), ("midpoint BC", mid_bc)):
+    vc = potential_closed(tri, p)
+    vq = potential_quadrature(tri, p)
+    print(f"  {name:<12} V = {vc:.15f}   |closed - quadrature| = {abs(vc - vq):.2e}")
 
 # ----------------------------------------------------------------------
 # Far away the triangle looks like a point charge: V ~ area / distance.

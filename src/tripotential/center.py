@@ -119,20 +119,8 @@ class LambdaSolution:
 
 
 def _rhs(sides: SideLengths) -> float:
-    """Right-hand side of the lambda equation: 4*area, cross-checked
-    against the equivalent quartic side-length polynomial."""
-    a, b, c = sides.a, sides.b, sides.c
-    rhs_heron = 4.0 * heron_area(sides)
-    poly = 2.0 * (a * a * b * b + b * b * c * c + c * c * a * a) - (
-        a**4 + b**4 + c**4
-    )
-    rhs_poly = math.sqrt(poly) if poly > 0.0 else 0.0
-    if abs(rhs_poly - rhs_heron) > 1e-7 * rhs_heron:
-        raise TripotentialError(
-            f"area cross-check failed for sides {sides}: "
-            f"{rhs_poly} (polynomial) vs {rhs_heron} (Heron)"
-        )
-    return rhs_heron
+    """Right-hand side of the lambda equation: 4*area, by Kahan's Heron."""
+    return 4.0 * heron_area(sides)
 
 
 def _g_parts(x: float, t: float) -> tuple[float, float, float]:

@@ -16,11 +16,11 @@ error (e.g. ``--out`` into a missing directory). On those errors a
 machine-readable ``{"error": ...}`` object is printed to stdout.
 ``grid`` rows come from the array kernel
 ``potential_field_batch``, evaluated and streamed (CSV) block by block of
-whole grid rows once every input has been validated. Failed per-point
-evaluations in ``grid`` emit ``nan`` markers; boundary-band rows carry
-quadrature potentials and empty field columns (the field diverges at the
-boundary). Outputs are deterministic
-for identical flags; JSON numbers use shortest round-trip formatting,
+whole grid rows once every input has been validated. Every row carries the
+closed-form potential, boundary rows included; rows within 1e-9 * diameter
+of the boundary, and exterior rows, leave the field columns empty (the
+field diverges at the boundary). Outputs are deterministic for identical
+flags; JSON numbers use shortest round-trip formatting,
 CSV uses ``,`` separators and ``.`` decimal points regardless of locale.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import re
 import sys
 
@@ -56,12 +55,7 @@ from .geometry import (
     side_lengths,
     triangle_from_sides,
 )
-from .potential import (
-    field_closed,
-    potential_field_batch,
-    potential_quadrature,
-    QuadratureConfig,
-)
+from .potential import field_closed, potential_field_batch
 
 # Golden reference values for the verify command.
 _REF_TRIANGLE = ((-1.0, 0.0), (2.0, 0.0), (0.0, 2.0))
@@ -334,17 +328,13 @@ def _cmd_lambda_curve(args) -> int:
 # Points per block of grid rows evaluated at once: large enough to amortize
 # numpy's per-call overhead, small enough to keep memory flat at n=2048.
 _GRID_BLOCK_POINTS = 4096
-# Boundary-band rows. The depth budget is deeper than QuadratureConfig's
-# default: a point next to a vertex leaves a near-pole ~1e-7 rad from a
-# window end, which needs more than 20 bisections to resolve.
-_GRID_BAND_CFG = QuadratureConfig(target_rel_tol=1e-10, max_subdivisions=40)
 
 
 def _grid_blocks(tri: Triangle, xs: list[float], ys: list[float]):
     """Yield (y values, V, Ex, Ey, inside) per block of whole grid rows.
 
     Per-point columns run in row-major order; Ex and Ey are None where
-    the field is absent (outside, or in the boundary band).
+    the field is absent (outside, or in the field's boundary band).
     """
     n = len(xs)
     rows = max(1, _GRID_BLOCK_POINTS // n)
@@ -354,20 +344,10 @@ def _grid_blocks(tri: Triangle, xs: list[float], ys: list[float]):
         px = x_block[:n * len(y_rows)]
         py = np.repeat(y_rows, n)
         batch = potential_field_batch(tri, px, py)
-        v = batch.v.tolist()
-        for k in np.flatnonzero(batch.excluded).tolist():
-            # Boundary band: the closed forms are unusable; the potential
-            # still exists and comes from quadrature, the field genuinely
-            # diverges and stays empty.
-            try:
-                p = Point2(float(px[k]), float(py[k]))
-                v[k] = potential_quadrature(tri, p, _GRID_BAND_CFG)
-            except TripotentialError:
-                v[k] = math.nan
         has_field = batch.interior & ~batch.excluded
         ex = np.where(has_field, batch.ex, None).tolist()
         ey = np.where(has_field, batch.ey, None).tolist()
-        yield y_rows, v, ex, ey, batch.interior.astype(int).tolist()
+        yield y_rows, batch.v.tolist(), ex, ey, batch.interior.astype(int).tolist()
 
 
 def _cmd_grid(args) -> int:

@@ -20,10 +20,10 @@ class NotInterior(TripotentialError):
 
 
 class TooCloseToBoundary(TripotentialError):
-    """Closed-form evaluation rejected: the point lies within 1e-9 times
-    the diameter of the triangle boundary. The closed forms stay accurate
-    there; the band is part of their contract (use the quadrature path,
-    and the field diverges at the boundary itself)."""
+    """Closed-form field rejected: the point lies within 1e-9 times the
+    diameter of the triangle boundary. There E is only as accurate as the
+    rounded point coordinates allow, and it diverges on the boundary
+    itself. The potential has no such band."""
 
 
 class ToleranceNotReached(TripotentialError):

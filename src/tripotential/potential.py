@@ -56,10 +56,11 @@ __all__ = [
     "brute_force_max",
 ]
 
-# Closed forms reject points closer to the boundary than this times the
-# diameter. The boundary form itself stays accurate there; the band is
-# kept as part of the API (TooCloseToBoundary, and the points ``grid``
-# sends to quadrature).
+# The closed-form field rejects points closer to the boundary than this
+# times the diameter (TooCloseToBoundary, and the ``excluded`` mask): next
+# to the middle of an edge E is only as accurate as the rounded u x w.
+# The potential has no band; it is continuous across the boundary and
+# evaluated in closed form everywhere.
 BOUNDARY_EXCLUSION_RTOL = 1e-9
 
 
@@ -134,6 +135,8 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
     lengths), the small denominator of l_e is formed without
     cancellation: r1 + r2 - L = 2*m/(r1 + r2 + L) with m = r1*r2 + u.w,
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
+    An edge with m = 0 (p on its segment, endpoints included) adds nothing
+    to V, the limit of h_e * l_e; its field term diverges and is left out.
     """
     v = fx = fy = 0.0
     for v1, v2 in tri.edges():
@@ -146,6 +149,8 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
         length = math.hypot(ex, ey)
         s = r1 + r2 + length
         m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
+        if m == 0.0:
+            continue
         ell = math.log(0.5 * s * (s / m)) / length  # l_e / L
         v += cr * ell
         fx += ey * ell
@@ -156,15 +161,10 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
 def potential_closed(tri: Triangle, p: Point2) -> float:
     """Potential at p from the boundary form V = sum_e h_e * l_e.
 
-    Valid for interior and exterior points; h_e is negative for an edge
-    whose line separates p from the triangle.
-
-    Raises
-    ------
-    TooCloseToBoundary
-        If p is within 1e-9 * diameter of a boundary segment.
+    Valid at every finite point: interior, exterior, and on or next to
+    the boundary (an edge's term h_e * l_e tends to 0 on its own segment).
+    h_e is negative for an edge whose line separates p from the triangle.
     """
-    _require_off_boundary(tri, p)
     return _edge_sums(tri, p)[0]
 
 
@@ -242,11 +242,11 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
 class FieldBatch(NamedTuple):
     """Closed-form potential and field at an array of points.
 
-    ``v`` is nan where ``excluded``; ``ex`` and ``ey`` are nan except at
-    strictly interior points outside the exclusion band. The masks carry
-    the same verdicts as ``classify_point`` (interior, exterior; neither
-    means the boundary band) and the exclusion test of the scalar
-    closed forms.
+    ``v`` is finite at every point, boundary included; ``ex`` and ``ey``
+    are nan except at strictly interior points outside the field's
+    exclusion band. The masks carry the same verdicts as
+    ``classify_point`` (interior, exterior; neither means the boundary
+    band) and the exclusion test of ``field_closed``.
     """
 
     v: np.ndarray
@@ -272,7 +272,7 @@ def _edge_sums_array(tri: Triangle, x, y):
         r1r2 = r1 * r2
         m = np.where(dot >= 0.0, r1r2 + dot, cr * (cr / (r1r2 - dot)))
         ell = np.log(0.5 * s * (s / m)) / length
-        v = v + cr * ell
+        v = v + np.where(m == 0.0, 0.0, cr * ell)
         fx = fx + ey * ell
         fy = fy - ex * ell
     return v, fx, fy
@@ -281,8 +281,8 @@ def _edge_sums_array(tri: Triangle, x, y):
 def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
-    One pass of the same per-edge logs gives V and E together. Where a
-    scalar function would raise, the masks say why and the value is nan.
+    One pass of the same per-edge logs gives V and E together. Where
+    ``field_closed`` would raise, the masks say why and the field is nan.
     For one point the scalar functions are faster.
     """
     x = np.asarray(x, dtype=float)
@@ -298,7 +298,7 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     with np.errstate(divide="ignore", invalid="ignore"):
         v, ex, ey = _edge_sums_array(tri, x, y)
     return FieldBatch(
-        np.where(excluded, math.nan, v),
+        v,
         np.where(has_field, ex, math.nan),
         np.where(has_field, ey, math.nan),
         interior,
@@ -395,13 +395,7 @@ def brute_force_max(
     def evaluate(px, py, panels):
         if evaluator == "quadrature":
             return _potential_quadrature_batch(tri, px, py, panels)
-        batch = potential_field_batch(tri, px, py)
-        if batch.excluded.any():  # where potential_closed would raise
-            raise TooCloseToBoundary(
-                f"a scan point is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter "
-                "of the boundary"
-            )
-        return batch.v
+        return potential_field_batch(tri, px, py).v
 
     lattice = _interior_lattice(tri, grid_n)
     px = np.array([q.x for q in lattice])

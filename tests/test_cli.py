@@ -273,9 +273,9 @@ def test_grid_json_csv_and_out_file_agree(tmp_path, capsys):
 
 
 def test_grid_row_on_side_next_to_vertex_has_finite_potential(capsys):
-    # Canonical pose puts grid row j=9 on side BC; its point 1.08e-8 from
-    # B leaves a near-pole at an angular window end that the boundary-band
-    # quadrature must resolve instead of printing nan.
+    # Canonical pose puts grid row j=9 on side BC; at its point 1.08e-8
+    # from B the edge BC through the point adds nothing to the closed-form
+    # V, and the edge AB next to it must not turn into nan either.
     sides = (0.004278252983131883, 0.037139396333608216, 0.03666741467607147)
     code, out = run_cli(
         capsys, "grid", "--sides", ",".join(map(repr, sides)), "--n", "64",
@@ -305,6 +305,41 @@ def test_grid_row_on_side_next_to_vertex_has_finite_potential(capsys):
         r12 = math.hypot(x1 - px, y1 - py) + math.hypot(x2 - px, y2 - py)
         expected += d * math.log((r12 + length) / (r12 - length))
     assert abs(float(v) - expected) <= 1e-9 * expected
+
+
+def test_grid_band_rows_need_no_quadrature(monkeypatch, capsys):
+    # Row j=9 of n=64 lies on side BC; its band rows must come from the
+    # closed form, with no adaptive quadrature behind them.
+    import tripotential
+    import tripotential.cli
+    import tripotential.potential
+    import tripotential.quadrature
+
+    def boom(*args, **kwargs):
+        raise AssertionError("grid must not call the quadrature")
+
+    for module in (
+        tripotential, tripotential.cli, tripotential.potential,
+        tripotential.quadrature,
+    ):
+        for name in ("potential_quadrature", "integrate_adaptive"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, boom)
+    sides = "0.004278252983131883,0.037139396333608216,0.03666741467607147"
+    code, out = run_cli(
+        capsys, "grid", "--sides", sides, "--n", "64", "--format", "csv"
+    )
+    assert code == 0
+    lines = out.splitlines()[1:]
+    assert len(lines) == 64 * 64
+    assert not [line for line in lines if "nan" in line]
+    a = float(sides.split(",")[0])
+    band = [
+        line for line in lines
+        if line.split(",")[1] == "0.0" and 0.0 <= float(line.split(",")[0]) <= a
+    ]
+    assert len(band) == 32
+    assert all(line.endswith(",,,0") for line in band)
 
 
 def test_survey_deterministic(capsys):

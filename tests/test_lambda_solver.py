@@ -32,7 +32,6 @@ def survey_sides(seed, n):
         gamma = math.pi - alpha - beta
         try:
             sides = SideLengths(math.sin(alpha), math.sin(beta), math.sin(gamma))
-            center._rhs(sides)
         except TripotentialError:
             continue
         out.append(sides)
@@ -117,6 +116,18 @@ def test_lambda_matches_bisection_reference():
             sol = solve_lambda(sides, tol)
             assert sol.lam == pytest.approx(lam_ref, rel=1e-12)
             assert sol.residual < tol * center._rhs(sides)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_survey_sliver_solves_without_area_cross_check(tol):
+    # Seed-1 survey shape with smallest angle 1.78e-5 rad: a quartic
+    # side-length form of 4*area disagreed with Kahan's Heron by more than
+    # 1e-7 here and used to reject it.
+    sides = SideLengths(1.7811521018302825e-05, 0.8887664427558987, 0.8887746067099218)
+    sol = solve_lambda(sides, tol)
+    assert sol.lam == pytest.approx(21.61798234660115, rel=1e-13)
+    assert sol.iterations <= 5
+    assert sol.residual < tol * center._rhs(sides)
 
 
 def test_work_is_bounded():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import pytest
@@ -148,11 +149,14 @@ def test_rigid_motion_invariance_and_scaling():
 
 
 def test_closed_rejects_boundary_band(golden_triangle):
+    # Only the field has a band; the potential is continuous across the
+    # boundary and stays in closed form there.
     tri = golden_triangle
     d = diameter(tri)
     mid_ab = Point2(0.5, 0.0)  # on side AB
-    with pytest.raises(TooCloseToBoundary):
-        potential_closed(tri, Point2(mid_ab.x, mid_ab.y + 1e-11 * d))
+    for p in (Point2(mid_ab.x, mid_ab.y + 1e-11 * d), mid_ab):
+        v_ref = boundary_form_reference(tri, p)[0]
+        assert abs(potential_closed(tri, p) - v_ref) <= 1e-13 * v_ref
     with pytest.raises(TooCloseToBoundary):
         field_closed(tri, Point2(mid_ab.x, mid_ab.y + 1e-11 * d))
 
@@ -289,7 +293,8 @@ def test_quadrature_config_validation():
 
 def assert_batch_matches_scalar(tri, xs, ys):
     """potential_field_batch against classify_point, distance_to_boundary,
-    potential_closed and field_closed, point for point."""
+    potential_closed and field_closed, point for point; in the field's
+    exclusion band V also against the 50-digit boundary form."""
     batch = potential_field_batch(tri, xs, ys)
     limit = BOUNDARY_EXCLUSION_RTOL * diameter(tri)
     for k, (x, y) in enumerate(zip(xs, ys)):
@@ -298,18 +303,20 @@ def assert_batch_matches_scalar(tri, xs, ys):
         assert batch.interior[k] == (loc is PointLocation.INTERIOR)
         assert batch.exterior[k] == (loc is PointLocation.EXTERIOR)
         assert batch.excluded[k] == (distance_to_boundary(tri, p) <= limit)
+        v = potential_closed(tri, p)
+        assert abs(batch.v[k] - v) <= 1e-13 * abs(v)
         if batch.excluded[k]:
-            with pytest.raises(TooCloseToBoundary):
-                potential_closed(tri, p)
-            assert math.isnan(batch.v[k])
-        else:
-            v = potential_closed(tri, p)
-            assert abs(batch.v[k] - v) <= 1e-13 * abs(v)
+            v_ref = boundary_form_reference(tri, p)[0]
+            assert abs(v - v_ref) <= 1e-13 * v_ref
         if batch.interior[k] and not batch.excluded[k]:
             field = field_closed(tri, p)
             err = math.hypot(batch.ex[k] - field.ex, batch.ey[k] - field.ey)
             assert err <= 1e-13 * field.norm()
         else:
+            with pytest.raises(
+                TooCloseToBoundary if batch.interior[k] else NotInterior
+            ):
+                field_closed(tri, p)
             assert math.isnan(batch.ex[k]) and math.isnan(batch.ey[k])
     return batch
 
@@ -338,7 +345,8 @@ def test_field_batch_matches_scalar_closed_forms():
 def test_field_batch_grid_row_on_side_bc():
     # The grid CLI's canonical pose puts row j=9 of n=64 exactly on side
     # BC (y0 = -0.2 h, y1 = 1.2 h, 63 / 7 = 9): the points between B and C
-    # lie in the boundary band and in the exclusion band.
+    # lie in the boundary band and in the field's exclusion band, where V
+    # is still closed-form and checked against the 50-digit reference.
     tri = triangle_from_sides(
         0.004278252983131883, 0.037139396333608216, 0.03666741467607147
     )
@@ -363,7 +371,7 @@ def test_field_batch_grid_row_on_side_bc():
         assert list(batch.excluded) == on_side
         assert not batch.interior.any()
         assert list(batch.exterior) == [not s for s in on_side]
-    # strictly inside, yet too close to the side for the closed forms
+    # strictly inside, yet too close to the side for the closed-form field
     batch = assert_batch_matches_scalar(tri, xs, [1e-10 * height] * n)
     assert list(batch.excluded) == on_side
     assert (batch.interior & batch.excluded).sum() > 25
@@ -372,7 +380,13 @@ def test_field_batch_grid_row_on_side_bc():
 def boundary_form_reference(tri, p):
     """(V, Ex, Ey) at p from the boundary form with 50 digits:
     l_e = log((r1 + r2 + L)/(r1 + r2 - L)), V = sum h_e l_e and
-    E = sum n_e l_e over the counterclockwise edges."""
+    E = sum n_e l_e over the counterclockwise edges.
+
+    r1 + r2 - L is taken as 2*m/(r1 + r2 + L), with m = r1*r2 + u.w =
+    (u x w)^2/(r1*r2 - u.w) (exact identities), so that points on or
+    next to a segment keep their digits. An edge through p (u x w = 0)
+    adds nothing to V, the limit of h_e l_e; its field term is left out.
+    """
     with localcontext() as ctx:
         ctx.prec = 50
         px, py = Decimal(p.x), Decimal(p.y)
@@ -380,12 +394,17 @@ def boundary_form_reference(tri, p):
         for v1, v2 in tri.edges():
             ux, uy = Decimal(v1.x) - px, Decimal(v1.y) - py
             wx, wy = Decimal(v2.x) - px, Decimal(v2.y) - py
+            cross = ux * wy - uy * wx
+            if cross == 0:
+                continue
+            dot = ux * wx + uy * wy
             dx, dy = wx - ux, wy - uy
             length = (dx * dx + dy * dy).sqrt()
-            r1 = (ux * ux + uy * uy).sqrt()
-            r2 = (wx * wx + wy * wy).sqrt()
-            ell = ((r1 + r2 + length) / (r1 + r2 - length)).ln() / length
-            v += (ux * wy - uy * wx) * ell
+            r1r2 = ((ux * ux + uy * uy) * (wx * wx + wy * wy)).sqrt()
+            m = r1r2 + dot if dot >= 0 else cross * cross / (r1r2 - dot)
+            s = (ux * ux + uy * uy).sqrt() + (wx * wx + wy * wy).sqrt() + length
+            ell = (s * s / (2 * m)).ln() / length
+            v += cross * ell
             ex += dy * ell
             ey -= dx * ell
         return float(v), float(ex), float(ey)
@@ -428,3 +447,49 @@ def test_closed_forms_next_to_vertices_against_high_precision(sides):
         assert math.hypot(batch.ex[k] - ex_ref, batch.ey[k] - ey_ref) <= 1e-13 * e_ref
         assert abs(potential_closed(tri, p) - v_ref) <= 1e-14 * v_ref
         assert abs(batch.v[k] - v_ref) <= 1e-14 * v_ref
+
+
+def points_on_and_next_to_edges(tri):
+    """Per edge: its vertices, points on the segment at fractions 0,
+    1e-12, 0.37, 0.5 and 1 from its first vertex, and the points at
+    fractions 1e-12, 0.37 and 0.5 moved +-1e-13 and +-1e-10 of the
+    triangle's height over the edge off it."""
+    height = 2.0 * area(tri) / max(
+        v1.distance_to(v2) for v1, v2 in tri.edges()
+    )
+    points = list(tri.vertices)
+    for v1, v2 in tri.edges():
+        dx, dy = v2.x - v1.x, v2.y - v1.y
+        length = math.hypot(dx, dy)
+        nx, ny = -dy / length, dx / length
+        for t in (0.0, 1e-12, 0.37, 0.5, 1.0):
+            on = Point2(v1.x + t * dx, v1.y + t * dy)
+            points.append(on)
+            if 0.0 < t < 1.0:
+                for h in (1e-13, -1e-13, 1e-10, -1e-10):
+                    points.append(Point2(
+                        on.x + h * height * nx, on.y + h * height * ny
+                    ))
+    return points
+
+
+GRID_SLIVER = (0.004278252983131883, 0.037139396333608216, 0.03666741467607147)
+
+
+@pytest.mark.parametrize("sides", [(4, 5, 6), (1, 1, 1), (1, 1, 1.9), GRID_SLIVER])
+def test_potential_on_and_next_to_boundary_against_high_precision(sides):
+    tri = triangle_from_sides(*sides)
+    points = points_on_and_next_to_edges(tri)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = potential_field_batch(
+            tri, [p.x for p in points], [p.y for p in points]
+        )
+        scalar = [potential_closed(tri, p) for p in points]
+    assert batch.excluded.all()
+    assert sum(distance_to_boundary(tri, p) == 0.0 for p in points) >= 9
+    for k, p in enumerate(points):
+        v_ref = boundary_form_reference(tri, p)[0]
+        assert v_ref > 0.0
+        assert abs(scalar[k] - v_ref) <= 1e-13 * v_ref
+        assert abs(batch.v[k] - v_ref) <= 1e-13 * v_ref
