@@ -27,9 +27,10 @@ from tripotential import (
 tri = triangle_from_sides(4, 5, 6)  # acute
 
 # ----------------------------------------------------------------------
-# Sweep the exponent and watch the extreme point move. The sweep
-# warm-starts each solve from the previous point (continuation), and
-# always includes p = -1 and p = 2.
+# Sweep the exponent and watch the extreme point move. The sweep always
+# includes p = -1 and p = 2; it solves p = 2 (the centroid) first and
+# continues up and down from there, starting each solve from a gated
+# polynomial extrapolation of the points already solved.
 print("extreme points of V_p (arc), with the cubic-membership residual:")
 print(f"  {'p':>6}  {'x':>10}  {'y':>10}  {'thomson residual':>16}")
 for ap in potential_arc(tri, [-6.0 + k for k in range(13)]):

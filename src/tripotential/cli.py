@@ -11,8 +11,9 @@ Subcommands:
 * ``survey``        empirical band of (lambda - lambda0)/shape parameter
 * ``verify``        golden-value regression; exit 1 on any failure
 
-Exit codes: 0 success, 1 verification failure, 2 input, solver or output
-error (e.g. ``--out`` into a missing directory). On those errors a
+Exit codes: 0 success, 1 verification failure, 2 input, solver, arithmetic
+or output error (e.g. ``--out`` into a missing directory, or an overflow
+of the lambda estimate at sizes beyond 1e+-100). On those errors a
 machine-readable ``{"error": ...}`` object is printed to stdout.
 ``grid`` rows come from the array kernel
 ``potential_field_batch``, evaluated and streamed (CSV) block by block of
@@ -607,7 +608,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TripotentialError, ValueError, OSError) as exc:
+    except (TripotentialError, ArithmeticError, ValueError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         sys.stdout.write(json.dumps(error, indent=2) + "\n")
         return 2

@@ -206,16 +206,8 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     sides = SideLengths(a, b, c)  # validates the triangle inequality
     x_a = (a * a + c * c - b * b) / (2.0 * a)
     # Height via the numerically stable Heron form rather than sqrt(c^2-x^2).
-    y_a = 2.0 * _heron_area(sides) / a
+    y_a = 2.0 * heron_area(sides) / a
     return Triangle(Point2(x_a, y_a), Point2(0.0, 0.0), Point2(a, 0.0))
-
-
-def _heron_area(sides: SideLengths) -> float:
-    # Kahan's ordering keeps Heron stable for needle triangles.
-    x, y, z = sorted((sides.a, sides.b, sides.c), reverse=True)
-    return 0.25 * math.sqrt(
-        (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-    )
 
 
 def area(tri: Triangle) -> float:
@@ -225,8 +217,22 @@ def area(tri: Triangle) -> float:
 
 
 def heron_area(sides: SideLengths) -> float:
-    """Area from side lengths alone, sqrt(s(s-a)(s-b)(s-c))."""
-    return _heron_area(sides)
+    """Area from side lengths alone, sqrt(s(s-a)(s-b)(s-c)).
+
+    Kahan's ordering keeps Heron stable for needle triangles. The sides
+    are scaled by the power of two 2^-e that brings the longest into
+    [0.5, 1), which is exact, so the product of the four side-sized
+    factors neither overflows nor underflows at any triangle size.
+    """
+    e = math.frexp(max(sides.a, sides.b, sides.c))[1]
+    x, y, z = sorted(
+        (math.ldexp(sides.a, -e), math.ldexp(sides.b, -e), math.ldexp(sides.c, -e)),
+        reverse=True,
+    )
+    unit = 0.25 * math.sqrt(
+        (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+    )
+    return math.ldexp(unit, 2 * e)
 
 
 def inradius(tri: Triangle) -> float:

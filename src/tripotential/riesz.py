@@ -20,8 +20,17 @@ from the boundary form (divergence theorem, n_e the outward normal)
         = (p+1)/p * sum over edges of n_e * integral of |PQ|^p dS
 
 (log|PQ| in place of (p+1)/p |PQ|^p at p = 0, -|PQ|^-1 at p = -1).
+R is measured in units of the ray scale r0, the geometric mean of the
+point's distances to the three side lines, so the kernel, the residual
+and the Newton step are free of the triangle's size.
 ``stationarity_residual`` keeps the adaptive angular quadrature as the
 independent check.
+
+``potential_arc`` traces the extreme points over a sweep of exponents by
+predictor-corrector continuation (Allgower & Georg, Introduction to
+Numerical Continuation Methods, 1990): it starts at p = 2, where the
+answer is the centroid, and predicts each next start by gated Lagrange
+extrapolation along the points already solved.
 
 Special values: p = 2 lands on the centroid, p = -2 on the equal
 angle-per-area "illuminating" point, p = -4 on the point whose
@@ -42,6 +51,7 @@ from .geometry import (
     Point2,
     PointLocation,
     Triangle,
+    Trilinears,
     cartesian_to_trilinear,
     centroid,
     classify_point,
@@ -107,11 +117,35 @@ def _require_strict_interior(tri: Triangle, p_pt: Point2) -> None:
         )
 
 
+def _geometric_mean(tau: Trilinears, diam: float) -> float:
+    """Geometric mean of the (positive) distances tau to the three side
+    lines, formed on diameter-normalized values so that the product
+    neither underflows nor overflows at any triangle size."""
+    return diam * (
+        (tau.tau_a / diam) * (tau.tau_b / diam) * (tau.tau_c / diam)
+    ) ** (1.0 / 3.0)
+
+
 def _ray_scale(tri: Triangle, p_pt: Point2) -> float:
-    """Geometric mean of the distances to the three side lines; used to
-    normalize R before exponentiation so large |p| stays in range."""
-    tau = cartesian_to_trilinear(tri, p_pt)
-    return (tau.tau_a * tau.tau_b * tau.tau_c) ** (1.0 / 3.0)
+    """The ray scale r0 at an interior point: the geometric mean of its
+    distances to the side lines, used to normalize R before
+    exponentiation so large |p| stays in range."""
+    return _geometric_mean(cartesian_to_trilinear(tri, p_pt), diameter(tri))
+
+
+def _admissible_ray_scale(tri: Triangle, q: Point2, diam: float) -> float | None:
+    """The ray scale at q if q keeps the Newton margin from the boundary,
+    else None.
+
+    One trilinear pass: the signed distances to the three side lines are
+    all at least INTERIOR_MARGIN_RTOL * diam exactly when q is interior
+    with that distance to the boundary, since from inside the nearest
+    point of a side line lies on its segment.
+    """
+    tau = cartesian_to_trilinear(tri, q)
+    if min(tau.tau_a, tau.tau_b, tau.tau_c) < INTERIOR_MARGIN_RTOL * diam:
+        return None
+    return _geometric_mean(tau, diam)
 
 
 def _kernel(p: float):
@@ -173,24 +207,24 @@ def _scaled_residual(
     return total, magnitude, r0
 
 
-def _edge_rule(tri: Triangle, p_pt: Point2, p: float):
+def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     """The stationarity integral of ``_scaled_residual`` on sinh-graded
     edge panels, with its exact Jacobian.
 
     Returns (S, magnitude, error, jacobian): S is the integral of
-    kern(R/r0) e^{i phi} dphi, magnitude the integral of |kern(R/r0)|
-    dphi, error the panels' summed Gauss-7 estimate for S, and jacobian
-    d(Re S, Im S)/d(x, y) at fixed r0 (the ray scale, whose own
-    variation contributes nothing at a root of S).
+    kern(R/r0) e^{i phi} dphi with r0 the ray scale at p_pt, magnitude
+    the integral of |kern(R/r0)| dphi, error the panels' summed Gauss-7
+    estimate for S, and jacobian d(Re S, Im S)/d(x/r0, y/r0) at fixed r0
+    (whose own variation contributes nothing at a root of S); measuring
+    P in units of r0 keeps the Jacobian free of the triangle's size.
 
     Vertices run counterclockwise, so edge (V1, V2) with unit direction
     u has outward normal n = (u_y, -u_x), and a strictly interior P lies
     at d = (V1 - P) . n > 0 from its line. With t = d sinh(s) along the
     edge from the foot of the perpendicular, r = d cosh(s), dphi =
     ds / cosh(s) and e^{i phi} = (n + sinh(s) u) / cosh(s); the edge
-    adds -(1/r0) n (x) integral of kern'(r/r0) e^{i phi} ds to dS/dP.
+    adds -n (x) integral of kern'(r/r0) e^{i phi} ds to dS/d(P/r0).
     """
-    r0 = _ray_scale(tri, p_pt)
     width = 2.0 * min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (abs(p) + 1.0))
     rows = []
     for v1, v2 in tri.edges():
@@ -219,8 +253,8 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float):
     values, errors = _gk15_panels(kern * sech * unit, half)
     magnitude = float(half @ (np.abs(kern) * sech @ _WK))
     moment = half * ((kern_prime * unit) @ _WK)
-    gx = -(normal.real[edge] @ moment) / r0
-    gy = -(normal.imag[edge] @ moment) / r0
+    gx = -(normal.real[edge] @ moment)
+    gy = -(normal.imag[edge] @ moment)
     jac = np.array([[gx.real, gx.imag], [gy.real, gy.imag]])
     return complex(values.sum()), magnitude, float(errors.sum()), jac
 
@@ -270,13 +304,18 @@ def rp_center(
     Damped 2D Newton on the stationarity residual, starting from the
     centroid unless x0 is given. Each iterate evaluates the residual,
     its error estimate and its exact Jacobian together on sinh-graded
-    Kronrod-15 edge panels (see the module docstring). Steps are halved
-    until the iterate stays interior with a 1e-6 * diameter margin.
-    Convergence is on the scale-normalized residual (|integral| /
-    integral of |kernel|) so the same tol is meaningful across exponents.
+    Kronrod-15 edge panels (see the module docstring); the 2x2 Newton
+    system is solved by Cramer's rule, by least squares when singular.
+    Steps are halved until the iterate stays interior with a
+    1e-6 * diameter margin, tested in one trilinear pass that also
+    yields the next ray scale. Convergence is on the scale-normalized
+    residual (|integral| / integral of |kernel|) so the same tol is
+    meaningful across exponents and triangle sizes.
 
     Raises
     ------
+    NotInterior
+        x0 lacks the interior margin.
     NoConvergence
         After max_iterations; carries the best iterate and its residual.
     ToleranceNotReached
@@ -287,22 +326,17 @@ def rp_center(
         raise ValueError(f"exponent must be finite, got {p}")
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    margin = INTERIOR_MARGIN_RTOL * diameter(tri)
+    diam = diameter(tri)
     quad_tol = min(1e-12, max(1e-14, 1e-3 * tol))
 
-    def admissible(q: Point2) -> bool:
-        return (
-            classify_point(tri, q) is PointLocation.INTERIOR
-            and distance_to_boundary(tri, q) >= margin
-        )
-
     x = x0 if x0 is not None else centroid(tri)
-    if not admissible(x):
+    r0 = _admissible_ray_scale(tri, x, diam)
+    if r0 is None:
         raise NotInterior(f"starting point {x} lacks interior margin")
 
     best_x, best_norm = x, math.inf
     for iteration in range(1, max_iterations + 1):
-        val, mag, err, jac = _edge_rule(tri, x, p)
+        val, mag, err, jac = _edge_rule(tri, x, p, r0)
         budget = quad_tol * max(1.0, mag)
         if err > budget:
             raise ToleranceNotReached(
@@ -311,7 +345,6 @@ def rp_center(
                 achieved=err,
                 target=budget,
             )
-        fx = np.array([val.real, val.imag])
         norm = abs(val) / mag
         if norm < best_norm:
             best_x, best_norm = x, norm
@@ -319,19 +352,17 @@ def rp_center(
             return RpSolveReport(
                 point=x, residual_norm=norm, iterations=iteration, p=p
             )
-        try:
-            step = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -fx, rcond=None)[0]
-        scale = 1.0
+        dx, dy = _newton_step(jac, val)
+        scale = r0  # the Jacobian is per unit r0
         for _ in range(60):
-            cand = Point2(float(x.x + scale * step[0]), float(x.y + scale * step[1]))
-            if admissible(cand):
+            cand = Point2(x.x + scale * dx, x.y + scale * dy)
+            cand_r0 = _admissible_ray_scale(tri, cand, diam)
+            if cand_r0 is not None:
                 break
             scale *= 0.5
         else:
-            cand = x  # fully damped; no admissible direction left
-        x = cand
+            cand, cand_r0 = x, r0  # fully damped; no admissible direction left
+        x, r0 = cand, cand_r0
     raise NoConvergence(
         f"no convergence for p={p} after {max_iterations} iterations "
         f"(best residual {best_norm:.3e})",
@@ -339,6 +370,17 @@ def rp_center(
         residual_norm=best_norm,
         iterations=max_iterations,
     )
+
+
+def _newton_step(jac: np.ndarray, val: complex) -> tuple[float, float]:
+    """The solution of jac @ step = -(Re val, Im val): Cramer's rule, or
+    least squares when the determinant is zero or not finite."""
+    (a, b), (c, d) = jac.tolist()
+    det = a * d - b * c
+    if det != 0.0 and math.isfinite(det):
+        return (b * val.imag - d * val.real) / det, (c * val.real - a * val.imag) / det
+    step = np.linalg.lstsq(jac, [-val.real, -val.imag], rcond=None)[0]
+    return float(step[0]), float(step[1])
 
 
 def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
@@ -395,45 +437,104 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2, quad_n: int = 512) -> fl
     return abs(moment)
 
 
+def _extrapolate(history, p: float) -> tuple[float, float]:
+    """The Lagrange polynomial through the points (p_i, x_i) of history,
+    evaluated at p as an offset from the last point (so a far-off
+    triangle keeps its digits)."""
+    last = history[-1][1]
+    dx = dy = 0.0
+    for j, (pj, qj) in enumerate(history):
+        w = 1.0
+        for m, (pm, _) in enumerate(history):
+            if m != j:
+                w *= (p - pm) / (pj - pm)
+        dx += w * (qj.x - last.x)
+        dy += w * (qj.y - last.y)
+    return last.x + dx, last.y + dy
+
+
+def _predict(tri: Triangle, history, p: float, diam: float) -> Point2:
+    """Start for the solve at p from the last converged (p_i, x_i) of one
+    direction of a sweep, distinct in p and ordered toward p.
+
+    The cubic extrapolation through the last four points is taken if the
+    quadratic through the last three lies within 10% of the cubic's own
+    step from the previous point; if not, the quadratic, gated the same
+    way by the linear one. The accepted start must also be finite and
+    keep the Newton margin; otherwise the previous point is returned.
+    """
+    prev = history[-1][1]
+    for order in (3, 2):
+        if len(history) <= order:
+            continue
+        hx, hy = _extrapolate(history[-order - 1:], p)
+        lx, ly = _extrapolate(history[-order:], p)
+        if math.hypot(hx - lx, hy - ly) <= 0.1 * math.hypot(hx - prev.x, hy - prev.y):
+            if math.isfinite(hx) and math.isfinite(hy):
+                guess = Point2(hx, hy)
+                if _admissible_ray_scale(tri, guess, diam) is not None:
+                    return guess
+            break
+    return prev
+
+
 def potential_arc(
     tri: Triangle, p_values, tol: float = 1e-10
 ) -> list[ArcPoint]:
     """Trace the curve of V_p extreme points over a sorted exponent sweep.
 
-    Each solve warm-starts from the previous solved point (continuation);
-    the exponents -1 and 2 are inserted when they fall inside the swept
-    range. Failed solves are recorded with converged=False and do not
-    abort the sweep.
+    The exponents -1 and 2 are inserted when they fall inside the swept
+    range. The exponent nearest 2, where the extreme point is the
+    centroid, is solved first from the centroid; the sweep then runs up
+    and down from it, each solve warm-started from the gated polynomial
+    extrapolation of the points already solved in its direction
+    (predictor-corrector continuation, see ``_predict``). Results come
+    in ascending p, one row per exponent, duplicates included. Failed
+    solves are recorded with converged=False, do not abort the sweep
+    and do not feed the predictor.
     """
     ps = [float(q) for q in p_values]
     if ps != sorted(ps):
         raise ValueError("p_values must be sorted ascending")
-    if ps:
-        lo, hi = ps[0], ps[-1]
-        for special in (-1.0, 2.0):
-            if lo <= special <= hi and special not in ps:
-                ps.append(special)
+    if not ps:
+        return []
+    lo, hi = ps[0], ps[-1]
+    for special in (-1.0, 2.0):
+        if lo <= special <= hi and special not in ps:
+            ps.append(special)
     ps.sort()
 
-    results: list[ArcPoint] = []
-    start = centroid(tri)
-    for p in ps:
+    diam = diameter(tri)
+    g = centroid(tri)
+    results: list[ArcPoint] = [None] * len(ps)
+
+    def solve(i: int, start: Point2) -> Point2 | None:
         try:
-            rep = rp_center(tri, p, tol, x0=start)
-            results.append(
-                ArcPoint(p, rep.point, rep.residual_norm, rep.iterations, True)
-            )
-            start = rep.point
+            rep = rp_center(tri, ps[i], tol, x0=start)
         except NoConvergence as exc:
-            results.append(
-                ArcPoint(
-                    p,
-                    exc.best_point,
-                    exc.residual_norm,
-                    exc.iterations,
-                    False,
-                )
+            results[i] = ArcPoint(
+                ps[i], exc.best_point, exc.residual_norm, exc.iterations, False
             )
+            return None
+        results[i] = ArcPoint(
+            ps[i], rep.point, rep.residual_norm, rep.iterations, True
+        )
+        return rep.point
+
+    first = min(range(len(ps)), key=lambda i: abs(ps[i] - 2.0))
+    x = solve(first, g)
+    seed = [] if x is None else [(ps[first], x)]
+    for sweep in (range(first + 1, len(ps)), range(first - 1, -1, -1)):
+        history = list(seed)
+        for i in sweep:
+            start = _predict(tri, history, ps[i], diam) if history else g
+            x = solve(i, start)
+            if x is None:
+                continue
+            if history and history[-1][0] == ps[i]:
+                history[-1] = (ps[i], x)  # a duplicate exponent
+            else:
+                history.append((ps[i], x))
     return results
 
 
@@ -468,14 +569,20 @@ def thomson_residual(tri: Triangle, p_pt: Point2) -> float:
     the normalizer, making "near zero" mean the same thing for any
     triangle size. Vanishes at the incenter, centroid, circumcenter,
     orthocenter, the vertices, and the side midpoints.
+
+    Every length is first scaled by the power of two 2^-e that brings the
+    diameter into [0.5, 1). That is exact, so the degree-5 products
+    neither underflow nor overflow at any triangle size.
     """
+    e = -math.frexp(diameter(tri))[1]
     tau = cartesian_to_trilinear(tri, p_pt)
     sl = side_lengths(tri)
-    rho = inradius(tri)
-    ta, tb, tc = tau.tau_a, tau.tau_b, tau.tau_c
+    ta, tb, tc = (math.ldexp(t, e) for t in (tau.tau_a, tau.tau_b, tau.tau_c))
+    a, b, c = (math.ldexp(x, e) for x in (sl.a, sl.b, sl.c))
+    rho = math.ldexp(inradius(tri), e)
     val = (
-        sl.b * sl.c * ta * (tb * tb - tc * tc)
-        + sl.c * sl.a * tb * (tc * tc - ta * ta)
-        + sl.a * sl.b * tc * (ta * ta - tb * tb)
+        b * c * ta * (tb * tb - tc * tc)
+        + c * a * tb * (tc * tc - ta * ta)
+        + a * b * tc * (ta * ta - tb * tb)
     )
-    return val / (sl.a * sl.b * sl.c * rho * rho)
+    return val / (a * b * c * rho * rho)

@@ -169,6 +169,44 @@ def test_arc_json_validates(capsys):
     validate(json.loads(out))
 
 
+@pytest.mark.parametrize("k", (-150, -110, -70, 70, 110, 150))
+def test_riesz_commands_at_extreme_scales(capsys, k):
+    s = 10.0**k
+    vertices = ("0,0", f"{s!r},0", f"{0.375 * s!r},{0.8125 * s!r}")
+    for argv in (
+        ("arc", "--vertices", *vertices, "--p-min", "-2", "--p-max", "3",
+         "--steps", "6"),
+        ("arc", "--sides", f"{4 * s!r},{5 * s!r},{6 * s!r}", "--p-min", "-10",
+         "--p-max", "10", "--steps", "5"),
+        ("rp-center", "--vertices", *vertices, "--p", "-3"),
+        ("rp-center", "--sides", f"{4 * s!r},{5 * s!r},{6 * s!r}", "--p", "7"),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, out
+        assert "nan" not in out.lower(), argv
+        payload = json.loads(out)
+        validate(payload)
+        if argv[0] == "arc":
+            assert all(row["converged"] for row in payload["rows"])
+            assert all(math.isfinite(row["thomson"]) for row in payload["rows"])
+
+
+def test_center_beyond_the_lambda_estimate_range_exits_2(capsys):
+    # sides of 1e+-150 now construct; the lambda estimate's
+    # shape_parameter under- or overflows there, which must still end
+    # in the JSON error object, not a traceback
+    for s in ("1e-150", "1e150"):
+        code, out = run_cli(capsys, "center", "--sides", f"{s},{s},{s}")
+        assert code == 2
+        payload = json.loads(out)
+        validate(payload)
+        assert payload["error"]["type"] in ("ZeroDivisionError", "OverflowError")
+    for k in (-100, 100):
+        code, out = run_cli(capsys, "center", "--sides", f"4e{k},5e{k},6e{k}")
+        assert code == 0, out
+        validate(json.loads(out))
+
+
 def test_lambda_curve_root_row_matches_center(capsys):
     code, out = run_cli(
         capsys,

@@ -389,8 +389,9 @@ def test_edge_rule_matches_references_inside_and_next_to_an_edge(monkeypatch):
         for rel in (1e-2, 1e-4, 2e-6)
     ]
     for tri, q, rel in interior + near:
+        r0 = rz._ray_scale(tri, q)
         for p in EDGE_RULE_EXPONENTS:
-            value, mag, error, _ = rz._edge_rule(tri, q, p)
+            value, mag, error, _ = rz._edge_rule(tri, q, p, r0)
             budget = 1e-13 * max(1.0, mag)
             assert error <= budget
             # the angular reference: at 1e-4 and 2e-6 diameters from AB
@@ -404,7 +405,7 @@ def test_edge_rule_matches_references_inside_and_next_to_an_edge(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(rz, "_PANEL_HALF_WIDTH", rz._PANEL_HALF_WIDTH / 4.0)
                 m.setattr(rz, "_PANEL_HALF_WIDTH_P", rz._PANEL_HALF_WIDTH_P / 4.0)
-                fine, fine_mag, _, _ = rz._edge_rule(tri, q, p)
+                fine, fine_mag, _, _ = rz._edge_rule(tri, q, p, r0)
             assert abs(value - fine) <= budget, (p, rel)
             # a normalizer only: |log| has a kink where R = r0 at p = -1
             assert mag == pytest.approx(fine_mag, rel=1e-3)
@@ -426,11 +427,14 @@ def test_edge_rule_jacobian_matches_central_differences():
                 (lit(q.x + h, q.y) - lit(q.x - h, q.y)) / (2.0 * h),
                 (lit(q.x, q.y + h) - lit(q.x, q.y - h)) / (2.0 * h),
             ])
-            _, _, _, jac = rz._edge_rule(tri, q, p)
-            # the rule's Jacobian holds the ray scale r0 fixed, so it is
-            # the literal integral's Jacobian divided by r0^(p+1)
+            r0 = rz._ray_scale(tri, q)
+            _, _, _, jac = rz._edge_rule(tri, q, p, r0)
+            # the rule's Jacobian is per unit r0 and holds r0 fixed, so
+            # per unit length it is the literal integral's Jacobian
+            # divided by r0^(p+1)
+            jac = jac / r0
             if p != -1.0:
-                jac = jac * rz._ray_scale(tri, q) ** (p + 1.0)
+                jac = jac * r0 ** (p + 1.0)
             assert np.abs(jac - fd).max() <= 1e-5 * np.abs(fd).max(), p
 
 
@@ -450,3 +454,141 @@ def test_arc_points_pass_the_angular_oracle():
     for ap in points:
         total, magnitude, _ = rz._scaled_residual(tri, ap.point, ap.p, 1e-12, 20)
         assert abs(total) / magnitude < tol, ap.p
+
+
+# ---- continuation from p = 2 and the Newton trial point
+
+
+def _sliver(min_angle):
+    """The scalene sliver with smallest angle min_angle and another of 1.2."""
+    third = math.pi - min_angle - 1.2
+    return triangle_from_sides(math.sin(min_angle), math.sin(1.2), math.sin(third))
+
+
+COARSE_SWEEP = [-30.0 + 5.0 * k for k in range(13)]
+
+
+def test_arc_81_steps_costs_at_most_190_evaluations():
+    tri = triangle_from_sides(4, 5, 6)
+    points = potential_arc(tri, [-10.0 + 0.25 * k for k in range(81)])
+    assert len(points) == 81 and all(ap.converged for ap in points)
+    assert sum(ap.iterations for ap in points) <= 190
+    assert max(ap.iterations for ap in points) <= 4
+    [at2] = [ap for ap in points if ap.p == 2.0]
+    assert at2.iterations == 1
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [triangle_from_sides(4, 5, 6), triangle_from_sides(1, 1, 1.9), _sliver(0.005)],
+    ids=["4,5,6", "1,1,1.9", "sliver"],
+)
+def test_coarse_sweep_predictor_costs_no_more_than_previous_point(tri, monkeypatch):
+    points = potential_arc(tri, COARSE_SWEEP)
+    assert all(ap.converged for ap in points)
+    with monkeypatch.context() as m:
+        m.setattr(rz, "_predict", lambda tri, history, p, diam: history[-1][1])
+        plain = potential_arc(tri, COARSE_SWEEP)
+    assert all(ap.converged for ap in plain)
+    assert sum(ap.iterations for ap in points) <= sum(ap.iterations for ap in plain)
+
+
+def test_arc_keeps_duplicate_exponents_and_empty_sweeps():
+    tri = triangle_from_sides(4, 5, 6)
+    points = potential_arc(tri, [0.0, 1.0, 1.0, 2.0, 2.0, 3.0])
+    assert [ap.p for ap in points] == [0.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+    assert all(ap.converged for ap in points)
+    assert points[1].point.distance_to(points[2].point) < 1e-9 * diameter(tri)
+    assert [ap.iterations for ap in points[3:5]] == [1, 1]
+    assert potential_arc(tri, []) == []
+
+
+@pytest.mark.parametrize("lo, hi", [(-10.0, -5.0), (3.0, 10.0)])
+def test_arc_without_p2_converges(lo, hi):
+    tri = triangle_from_sides(4, 5, 6)
+    p_values = [lo + 0.25 * k for k in range(int(4 * (hi - lo)) + 1)]
+    points = potential_arc(tri, p_values)
+    assert [ap.p for ap in points] == p_values
+    assert all(ap.converged for ap in points)
+
+
+def test_arc_predictor_ignores_failed_points(monkeypatch):
+    tri = triangle_from_sides(4, 5, 6)
+    real_solve, real_predict = rz.rp_center, rz._predict
+    failed = {-1.5, 3.5}
+    histories = []
+
+    def flaky(tri, p, tol=1e-10, *, x0=None, max_iterations=200):
+        if p in failed:
+            raise NoConvergence(
+                "forced", best_point=Point2(0.0, 0.0), residual_norm=1.0,
+                iterations=max_iterations,
+            )
+        return real_solve(tri, p, tol, x0=x0, max_iterations=max_iterations)
+
+    def spy(tri, history, p, diam):
+        histories.append([hp for hp, _ in history])
+        return real_predict(tri, history, p, diam)
+
+    monkeypatch.setattr(rz, "rp_center", flaky)
+    monkeypatch.setattr(rz, "_predict", spy)
+    points = rz.potential_arc(tri, [-3.0 + 0.5 * k for k in range(15)])
+    assert {ap.p for ap in points if not ap.converged} == failed
+    assert all(ap.converged for ap in points if ap.p not in failed)
+    assert histories and not any(failed & set(h) for h in histories)
+
+
+def test_arc_points_match_solves_from_the_centroid():
+    tri = triangle_from_sides(4, 5, 6)
+    points = {ap.p: ap for ap in potential_arc(tri, [-10.0 + 0.25 * k for k in range(81)])}
+    for p in (-10.0, -1.0, 0.0, 2.0, 5.0, 10.0):
+        alone = rp_center(tri, p)
+        assert points[p].point.distance_to(alone.point) < 1e-9 * diameter(tri), p
+
+
+def test_singular_jacobian_takes_the_least_squares_step(monkeypatch):
+    tri = triangle_from_sides(4, 5, 6)
+    real_rule, real_lstsq = rz._edge_rule, np.linalg.lstsq
+    calls = []
+
+    def rank_one_first(tri, q, p, r0):
+        val, mag, err, jac = real_rule(tri, q, p, r0)
+        if not calls:
+            jac = np.array([jac[0], jac[0]])  # singular: two equal rows
+        return val, mag, err, jac
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(rz, "_edge_rule", rank_one_first)
+    monkeypatch.setattr(rz.np.linalg, "lstsq", counted)
+    rep = rz.rp_center(tri, -1.0)
+    assert len(calls) == 1
+    assert rep.residual_norm < 1e-10
+    point, _ = electrostatic_center(tri)
+    assert rep.point.distance_to(point) < 1e-8 * diameter(tri)
+
+
+def test_admissibility_matches_classify_and_boundary_distance():
+    from tripotential.geometry import PointLocation, classify_point, distance_to_boundary
+
+    rng = make_rng(510)
+    agree = 0
+    for _ in range(2000):
+        tri = random_triangle(rng)
+        A, B, C = tri.vertices
+        w = rng.uniform(-0.1, 1.0, size=3)
+        w /= w.sum()
+        q = Point2(
+            w[0] * A.x + w[1] * B.x + w[2] * C.x,
+            w[0] * A.y + w[1] * B.y + w[2] * C.y,
+        )
+        diam = diameter(tri)
+        reference = (
+            classify_point(tri, q) is PointLocation.INTERIOR
+            and distance_to_boundary(tri, q) >= rz.INTERIOR_MARGIN_RTOL * diam
+        )
+        assert (rz._admissible_ray_scale(tri, q, diam) is not None) == reference
+        agree += reference
+    assert 0 < agree < 2000
