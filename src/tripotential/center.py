@@ -39,6 +39,7 @@ from .geometry import (
     Trilinears,
     cevian_angles,
     classify_point,
+    diameter,
     heron_area,
     side_lengths,
     vertex_distances,
@@ -316,10 +317,15 @@ def point_from_coth_parts(
 def _offset_from_a(
     tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
 ) -> tuple[float, float]:
-    """``point_from_coth_parts``'s solution minus vertex A."""
+    """``point_from_coth_parts``'s solution minus vertex A, on lengths
+    scaled exactly by 2^-e (the diameter into [0.5, 1)) so that the cubic
+    products neither overflow nor underflow at any triangle size."""
     A, B, C = tri.vertices
-    bx, by = B.x - A.x, B.y - A.y
-    cx, cy = C.x - A.x, C.y - A.y
+    e = math.frexp(diameter(tri))[1]
+    k = math.ldexp(1.0, -e)
+    bx, by = k * (B.x - A.x), k * (B.y - A.y)
+    cx, cy = k * (C.x - A.x), k * (C.y - A.y)
+    inv_t, ga, gb, gc = k * inv_t, k * ga, k * gb, k * gc
     qa = -gb * gc
     qb = bx * bx + by * by - gc * ga
     qc = cx * cx + cy * cy - ga * gb
@@ -328,7 +334,7 @@ def _offset_from_a(
     num_x = qa * (by - cy) + qb * cy - qc * by + inv_t * gy
     num_y = qa * (bx - cx) + qb * cx - qc * bx + inv_t * gx
     den = 2.0 * (bx * cy - cx * by)
-    return num_x / den, -num_y / den
+    return math.ldexp(num_x / den, e), math.ldexp(-num_y / den, e)
 
 
 def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, float]:

@@ -345,9 +345,9 @@ def _grid_blocks(tri: Triangle, xs: list[float], ys: list[float]):
         px = x_block[:n * len(y_rows)]
         py = np.repeat(y_rows, n)
         batch = potential_field_batch(tri, px, py)
-        has_field = batch.interior & ~batch.excluded
-        ex = np.where(has_field, batch.ex, None).tolist()
-        ey = np.where(has_field, batch.ey, None).tolist()
+        no_field = np.isnan(batch.ex)
+        ex = np.where(no_field, None, batch.ex).tolist()
+        ey = np.where(no_field, None, batch.ey).tolist()
         yield y_rows, batch.v.tolist(), ex, ey, batch.interior.astype(int).tolist()
 
 

@@ -19,8 +19,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DegenerateTriangle, DegenerateTrilinears, NotInterior
 
 __all__ = [
@@ -71,7 +69,11 @@ class Point2:
 
 
 def _cross(ox, oy, ax, ay, bx, by):
-    """Twice the signed area of triangle (o, a, b)."""
+    """Twice the signed area of triangle (o, a, b); floats or numpy arrays.
+
+    With o a point and (a, b) an edge, this u x w (u, w from the point to
+    the endpoints) is the package's one point-versus-edge orientation.
+    """
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
@@ -246,72 +248,73 @@ def diameter(tri: Triangle) -> float:
     return max(sl.a, sl.b, sl.c)
 
 
-def _point_segment_distance(p: Point2, v1: Point2, v2: Point2) -> float:
-    ex, ey = v2.x - v1.x, v2.y - v1.y
-    ee = ex * ex + ey * ey
-    t = ((p.x - v1.x) * ex + (p.y - v1.y) * ey) / ee
-    t = min(1.0, max(0.0, t))
-    return math.hypot(p.x - (v1.x + t * ex), p.y - (v1.y + t * ey))
-
-
 def distance_to_boundary(tri: Triangle, p: Point2) -> float:
-    """Euclidean distance from p to the triangle's boundary (3 segments)."""
-    A, B, C = tri.vertices
-    return min(
-        _point_segment_distance(p, A, B),
-        _point_segment_distance(p, B, C),
-        _point_segment_distance(p, C, A),
-    )
-
-
-def _distance_to_boundary_array(tri: Triangle, x, y):
-    """``distance_to_boundary`` elementwise over numpy coordinate arrays."""
-    dist = None
+    """Euclidean distance from p to the triangle's boundary (3 segments):
+    per edge, with u, w from p to its endpoints and e = w - u, |u| if
+    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e| (as in ``potential``)."""
+    dist = math.inf
     for v1, v2 in tri.edges():
+        ux, uy = v1.x - p.x, v1.y - p.y
+        wx, wy = v2.x - p.x, v2.y - p.y
         ex, ey = v2.x - v1.x, v2.y - v1.y
-        ee = ex * ex + ey * ey
-        t = np.clip(((x - v1.x) * ex + (y - v1.y) * ey) / ee, 0.0, 1.0)
-        d = np.hypot(x - (v1.x + t * ex), y - (v1.y + t * ey))
-        dist = d if dist is None else np.minimum(dist, d)
+        if ux * ex + uy * ey >= 0.0:
+            dist = min(dist, math.hypot(ux, uy))
+        elif wx * ex + wy * ey <= 0.0:
+            dist = min(dist, math.hypot(wx, wy))
+        else:
+            dist = min(dist, abs(ux * wy - uy * wx) / math.hypot(ex, ey))
     return dist
 
 
-def _normalized_edge_heights(tri: Triangle, x, y):
-    """Signed distances of (x, y) to sides BC, CA, AB divided by 2*area.
-
-    These are the barycentric coordinates of the point divided by the
-    respective side length; all positive iff it is strictly interior.
-    Coordinates may be floats or numpy arrays (elementwise, same bits).
-    """
-    A, B, C = tri.vertices
-    twice_area = 2.0 * area(tri)
-    eta_a = _cross(B.x, B.y, C.x, C.y, x, y) / twice_area
-    eta_b = _cross(C.x, C.y, A.x, A.y, x, y) / twice_area
-    eta_c = _cross(A.x, A.y, B.x, B.y, x, y) / twice_area
-    return eta_a, eta_b, eta_c
+def _locate(tri: Triangle, cr_min):
+    """``classify_point``'s (interior, exterior) verdicts from the smallest
+    orientation u x w over the three edges; floats or numpy arrays. A
+    relative band of width BOUNDARY_BAND_RTOL around zero is neither."""
+    eta = cr_min / (2.0 * area(tri))
+    return eta > BOUNDARY_BAND_RTOL, eta < -BOUNDARY_BAND_RTOL
 
 
 def classify_point(tri: Triangle, p: Point2) -> PointLocation:
     """Locate p relative to the triangle via barycentric sign tests.
 
-    A relative band of width 1e-12 around zero counts as Boundary.
+    Per edge, u x w over twice the area is the barycentric coordinate of
+    p for the opposite vertex; a relative band of width 1e-12 around zero
+    counts as Boundary.
     """
-    etas = _normalized_edge_heights(tri, p.x, p.y)
-    if any(e < -BOUNDARY_BAND_RTOL for e in etas):
+    A, B, C = tri.vertices
+    interior, exterior = _locate(tri, min(
+        _cross(p.x, p.y, A.x, A.y, B.x, B.y),
+        _cross(p.x, p.y, B.x, B.y, C.x, C.y),
+        _cross(p.x, p.y, C.x, C.y, A.x, A.y),
+    ))
+    if exterior:
         return PointLocation.EXTERIOR
-    if any(e <= BOUNDARY_BAND_RTOL for e in etas):
-        return PointLocation.BOUNDARY
-    return PointLocation.INTERIOR
+    return PointLocation.INTERIOR if interior else PointLocation.BOUNDARY
+
+
+def _side_distances(tri: Triangle, x, y):
+    """Signed distances (tau_a, tau_b, tau_c) of (x, y) to the side lines
+    BC, CA, AB: per side u x w over its length. Floats or numpy arrays."""
+    A, B, C = tri.vertices
+    sl = side_lengths(tri)
+    return (
+        _cross(x, y, B.x, B.y, C.x, C.y) / sl.a,
+        _cross(x, y, C.x, C.y, A.x, A.y) / sl.b,
+        _cross(x, y, A.x, A.y, B.x, B.y) / sl.c,
+    )
+
+
+def _clears_boundary(tau, margin):
+    """min tau > margin, for trilinears tau from ``_side_distances``: inside
+    and more than margin > 1e-12 * diameter from the boundary, since from
+    inside the nearest boundary point lies on the nearest side line."""
+    tau_a, tau_b, tau_c = tau
+    return (tau_a > margin) & (tau_b > margin) & (tau_c > margin)
 
 
 def cartesian_to_trilinear(tri: Triangle, p: Point2) -> Trilinears:
     """Exact-gauge trilinears: signed distances from p to sides BC, CA, AB."""
-    A, B, C = tri.vertices
-    sl = side_lengths(tri)
-    d_a = _cross(B.x, B.y, C.x, C.y, p.x, p.y) / sl.a
-    d_b = _cross(C.x, C.y, A.x, A.y, p.x, p.y) / sl.b
-    d_c = _cross(A.x, A.y, B.x, B.y, p.x, p.y) / sl.c
-    return Trilinears(d_a, d_b, d_c)
+    return Trilinears(*_side_distances(tri, p.x, p.y))
 
 
 def trilinear_to_cartesian(tri: Triangle, t: Trilinears) -> Point2:

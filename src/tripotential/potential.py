@@ -16,11 +16,14 @@ the triangle's side) and n_e the outward unit normal,
 
 (the classical polygon potential integrals; Wilton et al., IEEE TAP
 32(3), 1984). ``potential_closed`` and ``field_closed`` evaluate them at
-one point, ``potential_field_batch`` over point arrays. Independently,
-the triangle is the signed union of the three cones spanned at P by its
-edges; inside each cone the radial part of the integral is exact, which
-leaves the 1D angular integral of the ray length R(phi), integrated
-numerically as the cross-check ``potential_quadrature``.
+one point, ``potential_field_batch`` over point arrays. The same pass
+decides where the field is defined: h_e L = u x w (u, w from P to the
+edge's endpoints) gives the interior test, and r1, r2 or |u x w|/L the
+distance to the boundary. Independently, the triangle is the signed
+union of the three cones spanned at P by its edges; inside each cone the
+radial part of the integral is exact, which leaves the 1D angular
+integral of the ray length R(phi), integrated numerically as the
+cross-check ``potential_quadrature``.
 """
 
 from __future__ import annotations
@@ -33,15 +36,13 @@ import numpy as np
 
 from .errors import TooCloseToBoundary, ToleranceNotReached, NotInterior
 from .geometry import (
-    BOUNDARY_BAND_RTOL,
     Point2,
-    PointLocation,
     Triangle,
-    _distance_to_boundary_array,
-    _normalized_edge_heights,
-    classify_point,
+    _clears_boundary,
+    _cross,
+    _locate,
+    _side_distances,
     diameter,
-    distance_to_boundary,
 )
 from .quadrature import _NODES, _WK, integrate_adaptive
 
@@ -105,7 +106,7 @@ def cone_windows(tri: Triangle, p: Point2):
     for v1, v2 in tri.edges():
         ux, uy = v1.x - p.x, v1.y - p.y
         wx, wy = v2.x - p.x, v2.y - p.y
-        cr = ux * wy - uy * wx
+        cr = _cross(p.x, p.y, v1.x, v1.y, v2.x, v2.y)
         ru = math.hypot(ux, uy)
         rw = math.hypot(wx, wy)
         if ru == 0.0 or rw == 0.0 or abs(cr) <= 1e-15 * ru * rw:
@@ -121,15 +122,8 @@ def cone_windows(tri: Triangle, p: Point2):
     return windows
 
 
-def _require_off_boundary(tri: Triangle, p: Point2) -> None:
-    if distance_to_boundary(tri, p) <= BOUNDARY_EXCLUSION_RTOL * diameter(tri):
-        raise TooCloseToBoundary(
-            f"{p} is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter of the boundary"
-        )
-
-
-def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
-    """(V, Ex, Ey) at p from one log per edge, without the exclusion test.
+def _edge_sums(tri: Triangle, p: Point2):
+    """(V, Ex, Ey, cr_min, dist) at p from one log per edge.
 
     With u, w the vectors from p to the edge's endpoints (r1, r2 their
     lengths), the small denominator of l_e is formed without
@@ -137,8 +131,10 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
+    cr_min (the smallest u x w) and dist decide ``field_closed``'s verdicts.
     """
     v = fx = fy = 0.0
+    cr_min = dist = math.inf
     for v1, v2 in tri.edges():
         ux, uy = v1.x - p.x, v1.y - p.y
         wx, wy = v2.x - p.x, v2.y - p.y
@@ -147,6 +143,11 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
         ex, ey = v2.x - v1.x, v2.y - v1.y
         length = math.hypot(ex, ey)
+        # the distance to the edge's segment, as in distance_to_boundary
+        d = r1 if ux * ex + uy * ey >= 0.0 else (
+            r2 if wx * ex + wy * ey <= 0.0 else abs(cr) / length
+        )
+        cr_min, dist = min(cr_min, cr), min(dist, d)
         s = r1 + r2 + length
         m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
         if m == 0.0:
@@ -155,7 +156,7 @@ def _edge_sums(tri: Triangle, p: Point2) -> tuple[float, float, float]:
         v += cr * ell
         fx += ey * ell
         fy -= ex * ell
-    return v, fx, fy
+    return v, fx, fy, cr_min, dist
 
 
 def potential_closed(tri: Triangle, p: Point2) -> float:
@@ -223,7 +224,7 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     """Field E = -grad V at a strictly interior point, in closed form.
 
     E = sum_e n_e * l_e with n_e the outward unit normal of edge e: the
-    same per-edge logs as ``potential_closed``.
+    same pass over the edges as ``potential_closed``, which also decides:
 
     Raises
     ------
@@ -232,10 +233,13 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     TooCloseToBoundary
         If p is interior but within 1e-9 * diameter of the boundary.
     """
-    if classify_point(tri, p) is not PointLocation.INTERIOR:
+    _, ex, ey, cr_min, dist = _edge_sums(tri, p)
+    if not _locate(tri, cr_min)[0]:
         raise NotInterior(f"field is only defined strictly inside, got {p}")
-    _require_off_boundary(tri, p)
-    _, ex, ey = _edge_sums(tri, p)
+    if dist <= BOUNDARY_EXCLUSION_RTOL * diameter(tri):
+        raise TooCloseToBoundary(
+            f"{p} is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter of the boundary"
+        )
     return FieldVector(ex, ey)
 
 
@@ -246,7 +250,7 @@ class FieldBatch(NamedTuple):
     are nan except at strictly interior points outside the field's
     exclusion band. The masks carry the same verdicts as
     ``classify_point`` (interior, exterior; neither means the boundary
-    band) and the exclusion test of ``field_closed``.
+    band) and the exclusion test of ``field_closed``, from the same pass.
     """
 
     v: np.ndarray
@@ -257,50 +261,46 @@ class FieldBatch(NamedTuple):
     excluded: np.ndarray
 
 
-def _edge_sums_array(tri: Triangle, x, y):
-    """``_edge_sums`` elementwise over coordinate arrays."""
-    v = fx = fy = 0.0
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - x, v1.y - y
-        wx, wy = v2.x - x, v2.y - y
-        cr = ux * wy - uy * wx
-        dot = ux * wx + uy * wy
-        r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
-        ex, ey = v2.x - v1.x, v2.y - v1.y
-        length = math.hypot(ex, ey)
-        s = r1 + r2 + length
-        r1r2 = r1 * r2
-        m = np.where(dot >= 0.0, r1r2 + dot, cr * (cr / (r1r2 - dot)))
-        ell = np.log(0.5 * s * (s / m)) / length
-        v = v + np.where(m == 0.0, 0.0, cr * ell)
-        fx = fx + ey * ell
-        fy = fy - ex * ell
-    return v, fx, fy
-
-
 def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
-    One pass of the same per-edge logs gives V and E together. Where
+    One pass of ``_edge_sums``'s arithmetic gives V, E and the masks. Where
     ``field_closed`` would raise, the masks say why and the field is nan.
     For one point the scalar functions are faster.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    eta_min = np.minimum.reduce(_normalized_edge_heights(tri, x, y))
-    interior = eta_min > BOUNDARY_BAND_RTOL
-    exterior = eta_min < -BOUNDARY_BAND_RTOL
-    excluded = (
-        _distance_to_boundary_array(tri, x, y)
-        <= BOUNDARY_EXCLUSION_RTOL * diameter(tri)
-    )
-    has_field = interior & ~excluded
+    v = fx = fy = 0.0
+    cr_min = dist = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        v, ex, ey = _edge_sums_array(tri, x, y)
+        for v1, v2 in tri.edges():
+            ux, uy = v1.x - x, v1.y - y
+            wx, wy = v2.x - x, v2.y - y
+            cr = ux * wy - uy * wx
+            dot = ux * wx + uy * wy
+            r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
+            ex, ey = v2.x - v1.x, v2.y - v1.y
+            length = math.hypot(ex, ey)
+            d = np.where(
+                ux * ex + uy * ey >= 0.0,
+                r1,
+                np.where(wx * ex + wy * ey <= 0.0, r2, np.abs(cr) / length),
+            )
+            cr_min, dist = np.minimum(cr_min, cr), np.minimum(dist, d)
+            s = r1 + r2 + length
+            r1r2 = r1 * r2
+            m = np.where(dot >= 0.0, r1r2 + dot, cr * (cr / (r1r2 - dot)))
+            ell = np.log(0.5 * s * (s / m)) / length
+            v = v + np.where(m == 0.0, 0.0, cr * ell)
+            fx = fx + ey * ell
+            fy = fy - ex * ell
+    interior, exterior = _locate(tri, cr_min)
+    excluded = dist <= BOUNDARY_EXCLUSION_RTOL * diameter(tri)
+    has_field = interior & ~excluded
     return FieldBatch(
         v,
-        np.where(has_field, ex, math.nan),
-        np.where(has_field, ey, math.nan),
+        np.where(has_field, fx, math.nan),
+        np.where(has_field, fy, math.nan),
         interior,
         exterior,
         excluded,
@@ -322,7 +322,7 @@ def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
     for v1, v2 in tri.edges():
         ux, uy = v1.x - px, v1.y - py
         wx, wy = v2.x - px, v2.y - py
-        cr = ux * wy - uy * wx
+        cr = _cross(px, py, v1.x, v1.y, v2.x, v2.y)
         delta = np.arctan2(cr, ux * wx + uy * wy)
         phi0 = np.arctan2(uy, ux)
         ex, ey = v2.x - v1.x, v2.y - v1.y
@@ -334,15 +334,6 @@ def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
         ray = cr[:, None, None] / (np.cos(phi) * ey - np.sin(phi) * ex)
         values += (delta / (2.0 * panels)) * (ray @ _WK).sum(axis=1)
     return values
-
-
-def _interior_beyond(tri: Triangle, x, y, margin: float):
-    """Elementwise: ``classify_point`` says interior and
-    ``distance_to_boundary`` exceeds margin."""
-    eta_min = np.minimum.reduce(_normalized_edge_heights(tri, x, y))
-    return (eta_min > BOUNDARY_BAND_RTOL) & (
-        _distance_to_boundary_array(tri, x, y) > margin
-    )
 
 
 def _interior_lattice(tri: Triangle, n: int):
@@ -410,7 +401,7 @@ def brute_force_max(
     dx, dy = dx[probe], dy[probe]
     for _ in range(refine_iters):
         qx, qy = best_x + dx * extent, best_y + dy * extent
-        keep = _interior_beyond(tri, qx, qy, margin)
+        keep = _clears_boundary(_side_distances(tri, qx, qy), margin)
         # center first so it wins ties against its own probes
         px = np.concatenate(([best_x], qx[keep]))
         py = np.concatenate(([best_y], qy[keep]))

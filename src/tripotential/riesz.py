@@ -41,22 +41,24 @@ the point itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .center import coth_parts, point_from_coth_parts
-from .errors import NoConvergence, NotInterior, ToleranceNotReached
+from .errors import NoConvergence, NotInterior, ToleranceNotReached, TripotentialError
 from .geometry import (
     Point2,
     PointLocation,
     Triangle,
-    Trilinears,
+    _clears_boundary,
+    _cross,
+    _side_distances,
     cartesian_to_trilinear,
     centroid,
     classify_point,
     diameter,
-    distance_to_boundary,
     inradius,
     side_lengths,
 )
@@ -107,45 +109,30 @@ class ArcPoint:
     converged: bool
 
 
-def _require_strict_interior(tri: Triangle, p_pt: Point2) -> None:
-    if classify_point(tri, p_pt) is not PointLocation.INTERIOR:
-        raise NotInterior(f"{p_pt} is not strictly inside the triangle")
-    if distance_to_boundary(tri, p_pt) <= BOUNDARY_EXCLUSION_RTOL * diameter(tri):
-        raise NotInterior(
-            f"{p_pt} is inside the boundary exclusion band "
-            f"({BOUNDARY_EXCLUSION_RTOL:g} * diameter)"
-        )
-
-
-def _geometric_mean(tau: Trilinears, diam: float) -> float:
-    """Geometric mean of the (positive) distances tau to the three side
-    lines, formed on diameter-normalized values so that the product
-    neither underflows nor overflows at any triangle size."""
-    return diam * (
-        (tau.tau_a / diam) * (tau.tau_b / diam) * (tau.tau_c / diam)
-    ) ** (1.0 / 3.0)
-
-
 def _ray_scale(tri: Triangle, p_pt: Point2) -> float:
-    """The ray scale r0 at an interior point: the geometric mean of its
-    distances to the side lines, used to normalize R before
-    exponentiation so large |p| stays in range."""
-    return _geometric_mean(cartesian_to_trilinear(tri, p_pt), diameter(tri))
+    """The ray scale r0 at an interior point, used to normalize R before
+    exponentiation so large |p| stays in range. Raises NotInterior unless
+    p_pt clears the boundary by the exclusion band."""
+    r0 = _admissible_ray_scale(tri, p_pt, diameter(tri), BOUNDARY_EXCLUSION_RTOL)
+    if r0 is None:
+        raise NotInterior(
+            f"{p_pt} is not strictly inside the triangle by more than "
+            f"{BOUNDARY_EXCLUSION_RTOL:g} * diameter"
+        )
+    return r0
 
 
-def _admissible_ray_scale(tri: Triangle, q: Point2, diam: float) -> float | None:
-    """The ray scale at q if q keeps the Newton margin from the boundary,
-    else None.
-
-    One trilinear pass: the signed distances to the three side lines are
-    all at least INTERIOR_MARGIN_RTOL * diam exactly when q is interior
-    with that distance to the boundary, since from inside the nearest
-    point of a side line lies on its segment.
-    """
-    tau = cartesian_to_trilinear(tri, q)
-    if min(tau.tau_a, tau.tau_b, tau.tau_c) < INTERIOR_MARGIN_RTOL * diam:
+def _admissible_ray_scale(
+    tri: Triangle, q: Point2, diam: float, margin_rtol: float = INTERIOR_MARGIN_RTOL
+) -> float | None:
+    """The ray scale r0 at q, the geometric mean of its distances to the
+    side lines (formed on diameter-normalized values, so it neither
+    underflows nor overflows), if q clears the boundary by margin_rtol *
+    diam (the Newton margin by default), else None; one trilinear pass."""
+    tau = tau_a, tau_b, tau_c = _side_distances(tri, q.x, q.y)
+    if not _clears_boundary(tau, margin_rtol * diam):
         return None
-    return _geometric_mean(tau, diam)
+    return diam * ((tau_a / diam) * (tau_b / diam) * (tau_c / diam)) ** (1.0 / 3.0)
 
 
 def _kernel(p: float):
@@ -281,14 +268,27 @@ def stationarity_residual(
         Point outside, on the boundary, or inside the exclusion band.
     ToleranceNotReached
         A window could not reach abs_tol within max_depth subdivisions.
+    TripotentialError
+        The factor r0**(p + 1) or a nonzero component of the literal
+        integral is not a finite normal double at this triangle size.
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
-    _require_strict_interior(tri, p_pt)
     total, _, r0 = _scaled_residual(tri, p_pt, p, abs_tol, max_depth)
-    if p != -1.0:
-        total *= r0 ** (p + 1.0)
-    return FieldVector(float(total.real), float(total.imag))
+    try:
+        factor = 1.0 if p == -1.0 else r0 ** (p + 1.0)
+    except OverflowError:
+        factor = math.inf
+    tiny = sys.float_info.min
+    if not tiny <= factor < math.inf or any(
+        part != 0.0 and not tiny <= abs(part * factor) < math.inf
+        for part in (total.real, total.imag)
+    ):
+        raise TripotentialError(
+            f"the residual times r0**(p + 1) = {r0:.3e}**{p + 1.0:g} leaves the "
+            "range of normal doubles"
+        )
+    return FieldVector(total.real * factor, total.imag * factor)
 
 
 def rp_center(
@@ -393,12 +393,11 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     """
     if classify_point(tri, p_pt) is not PointLocation.INTERIOR:
         raise NotInterior(f"{p_pt} is not strictly inside the triangle")
-    A, B, C = tri.vertices
     ratios = []
-    for v1, v2 in ((B, C), (C, A), (A, B)):
+    for v1, v2 in tri.edges():
         ux, uy = v1.x - p_pt.x, v1.y - p_pt.y
         wx, wy = v2.x - p_pt.x, v2.y - p_pt.y
-        cr = ux * wy - uy * wx
+        cr = _cross(p_pt.x, p_pt.y, v1.x, v1.y, v2.x, v2.y)
         angle = math.atan2(abs(cr), ux * wx + uy * wy)
         ratios.append(angle / (0.5 * abs(cr)))
     return max(ratios) - min(ratios)
@@ -425,7 +424,7 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2, quad_n: int = 512) -> fl
     third of the p = -4 stationarity integral and vanishes exactly at
     the V_{-4} extreme point.
     """
-    _require_strict_interior(tri, p_pt)
+    _ray_scale(tri, p_pt)  # raises NotInterior inside the exclusion band
     moment = 0.0 + 0.0j
     for phi_start, delta, ray in cone_windows(tri, p_pt):
 

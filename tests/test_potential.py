@@ -13,6 +13,7 @@ from tripotential import (
     Triangle,
     area,
     brute_force_max,
+    cartesian_to_trilinear,
     centroid,
     classify_point,
     diameter,
@@ -234,7 +235,7 @@ def test_brute_force_max_interior_and_deterministic():
 def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
     import numpy as np
 
-    from tripotential.potential import _interior_beyond
+    from tripotential.geometry import _clears_boundary, _side_distances
 
     # side BC on the x axis from the origin: the distance to BC is |y|
     # exactly, so the margin and the 1e-12 band can be hit to the bit
@@ -260,7 +261,7 @@ def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
         )
 
     expected = [scalar(Point2(float(a), float(b))) for a, b in zip(x, y)]
-    assert _interior_beyond(tri, x, y, margin).tolist() == expected
+    assert _clears_boundary(_side_distances(tri, x, y), margin).tolist() == expected
     kept = [h for h, keep in zip(heights, expected) if keep]
     assert kept == [np.nextafter(margin, 1.0), 2.0 * margin, 0.3]
     assert sum(expected) > 500
@@ -431,6 +432,22 @@ def points_next_to_vertices(tri):
     return points
 
 
+def trilinear_reference(tri, p):
+    """Exact-gauge trilinears (tau_a, tau_b, tau_c) of p with 50 digits:
+    per side, u x w over its length, u and w from p to its endpoints."""
+    A, B, C = tri.vertices
+    with localcontext() as ctx:
+        ctx.prec = 50
+        px, py = Decimal(p.x), Decimal(p.y)
+        taus = []
+        for v1, v2 in ((B, C), (C, A), (A, B)):
+            ux, uy = Decimal(v1.x) - px, Decimal(v1.y) - py
+            wx, wy = Decimal(v2.x) - px, Decimal(v2.y) - py
+            length = ((wx - ux) ** 2 + (wy - uy) ** 2).sqrt()
+            taus.append(float((ux * wy - uy * wx) / length))
+        return taus
+
+
 @pytest.mark.parametrize("sides", [(4, 5, 6), (1, 1, 1), (1, 1, 1.9)])
 def test_closed_forms_next_to_vertices_against_high_precision(sides):
     tri = triangle_from_sides(*sides)
@@ -447,6 +464,9 @@ def test_closed_forms_next_to_vertices_against_high_precision(sides):
         assert math.hypot(batch.ex[k] - ex_ref, batch.ey[k] - ey_ref) <= 1e-13 * e_ref
         assert abs(potential_closed(tri, p) - v_ref) <= 1e-14 * v_ref
         assert abs(batch.v[k] - v_ref) <= 1e-14 * v_ref
+        tau = cartesian_to_trilinear(tri, p)
+        for got, ref in zip((tau.tau_a, tau.tau_b, tau.tau_c), trilinear_reference(tri, p)):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def points_on_and_next_to_edges(tri):
@@ -474,6 +494,18 @@ def points_on_and_next_to_edges(tri):
 
 
 GRID_SLIVER = (0.004278252983131883, 0.037139396333608216, 0.03666741467607147)
+
+
+@pytest.mark.parametrize("sides", [(4, 5, 6), (1, 1, 1.9), GRID_SLIVER])
+def test_field_batch_masks_match_scalar_in_general_pose(sides):
+    # rotated and translated, so no edge lies on a coordinate axis and the
+    # points next to the boundary are rounded in both coordinates
+    tri = transform_triangle(triangle_from_sides(*sides), angle=0.7, dx=3.1, dy=-1.7)
+    points = points_next_to_vertices(tri) + points_on_and_next_to_edges(tri)
+    batch = assert_batch_matches_scalar(tri, [p.x for p in points], [p.y for p in points])
+    assert (batch.interior & ~batch.excluded).any()
+    assert (batch.interior & batch.excluded).any()
+    assert batch.exterior.any()
 
 
 @pytest.mark.parametrize("sides", [(4, 5, 6), (1, 1, 1), (1, 1, 1.9), GRID_SLIVER])

@@ -587,7 +587,7 @@ def test_admissibility_matches_classify_and_boundary_distance():
         diam = diameter(tri)
         reference = (
             classify_point(tri, q) is PointLocation.INTERIOR
-            and distance_to_boundary(tri, q) >= rz.INTERIOR_MARGIN_RTOL * diam
+            and distance_to_boundary(tri, q) > rz.INTERIOR_MARGIN_RTOL * diam
         )
         assert (rz._admissible_ray_scale(tri, q, diam) is not None) == reference
         agree += reference

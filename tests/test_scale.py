@@ -9,8 +9,10 @@ import pytest
 from tripotential import (
     Point2,
     Triangle,
+    TripotentialError,
     centroid,
     electrostatic_center,
+    lambda_curve,
     potential_arc,
     rp_center,
     side_lengths,
@@ -49,16 +51,30 @@ def test_rp_center_and_arc_are_scale_free(k):
 
 @pytest.mark.parametrize("k", EXPONENTS)
 def test_stationarity_residual_is_scale_covariant(k):
-    # the literal integral has length degree p + 1; exponents whose
-    # power of 10^k stays within double range
+    # the literal integral has length degree p + 1; where its power of
+    # 10^k leaves double range (beyond 1e+-300 here, none lies near the
+    # edge) the residual must be refused with a typed error, never
+    # returned as a false zero or a bare OverflowError
     s, tri = 10.0**k, _scaled(k)
     q = Point2(0.3, 0.2)
-    for p in (-2.0, -1.0, 0.0):
+    for p in (-4.0, -2.0, -1.0, 0.0, 2.0, 5.0):
         ref = stationarity_residual(UNIT, q, p)
+        if abs((p + 1.0) * k) > 300:
+            with pytest.raises(TripotentialError):
+                stationarity_residual(tri, Point2(q.x * s, q.y * s), p)
+            continue
         res = stationarity_residual(tri, Point2(q.x * s, q.y * s), p)
         factor = s ** (p + 1.0)
         assert res.ex / factor == pytest.approx(ref.ex, rel=1e-11, abs=1e-13 * ref.norm())
         assert res.ey / factor == pytest.approx(ref.ey, rel=1e-11, abs=1e-13 * ref.norm())
+
+
+@pytest.mark.parametrize("k", (-150, -110, 110, 150))
+def test_lambda_curve_is_scale_free(k):
+    s = 10.0**k
+    lams = [0.1, 1.0, 10.0]
+    for (lam, point), (_, ref) in zip(lambda_curve(_scaled(k), lams), lambda_curve(UNIT, lams)):
+        assert math.hypot(point.x / s - ref.x, point.y / s - ref.y) < 1e-14, lam
 
 
 @pytest.mark.parametrize("k", EXPONENTS)
