@@ -313,7 +313,8 @@ def _clears_boundary(tau, margin):
 
 
 def cartesian_to_trilinear(tri: Triangle, p: Point2) -> Trilinears:
-    """Exact-gauge trilinears: signed distances from p to sides BC, CA, AB."""
+    """Exact-gauge trilinears: signed distances from p to sides BC, CA, AB,
+    each u x w over the side's length (accurate next to a vertex too)."""
     return Trilinears(*_side_distances(tri, p.x, p.y))
 
 

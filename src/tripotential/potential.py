@@ -147,7 +147,10 @@ def _edge_sums(tri: Triangle, p: Point2):
         d = r1 if ux * ex + uy * ey >= 0.0 else (
             r2 if wx * ex + wy * ey <= 0.0 else abs(cr) / length
         )
-        cr_min, dist = min(cr_min, cr), min(dist, d)
+        if d < dist:
+            dist = d
+        if cr < cr_min:
+            cr_min = cr
         s = r1 + r2 + length
         m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
         if m == 0.0:

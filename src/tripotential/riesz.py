@@ -115,20 +115,16 @@ def _ray_scale(tri: Triangle, p_pt: Point2) -> float:
     p_pt clears the boundary by the exclusion band."""
     r0 = _admissible_ray_scale(tri, p_pt, diameter(tri), BOUNDARY_EXCLUSION_RTOL)
     if r0 is None:
-        raise NotInterior(
-            f"{p_pt} is not strictly inside the triangle by more than "
-            f"{BOUNDARY_EXCLUSION_RTOL:g} * diameter"
-        )
+        raise NotInterior(f"{p_pt} is not inside by more than the exclusion band")
     return r0
 
 
 def _admissible_ray_scale(
     tri: Triangle, q: Point2, diam: float, margin_rtol: float = INTERIOR_MARGIN_RTOL
 ) -> float | None:
-    """The ray scale r0 at q, the geometric mean of its distances to the
-    side lines (formed on diameter-normalized values, so it neither
-    underflows nor overflows), if q clears the boundary by margin_rtol *
-    diam (the Newton margin by default), else None; one trilinear pass."""
+    """The ray scale r0 at q if q clears the boundary by margin_rtol * diam,
+    else None: the geometric mean of q's distances to the side lines, on
+    diameter-normalized values so it neither underflows nor overflows."""
     tau = tau_a, tau_b, tau_c = _side_distances(tri, q.x, q.y)
     if not _clears_boundary(tau, margin_rtol * diam):
         return None
