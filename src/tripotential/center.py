@@ -449,9 +449,11 @@ def kimberling_search_value(sides: SideLengths, tol: float = 1e-12) -> float:
     """Distance from the center to side BC (the encyclopedia search key).
 
     For trilinears tau the distance to side a is
-    2 * tau_a * area / (a*tau_a + b*tau_b + c*tau_c).
+    2 * tau_a * area / (a*tau_a + b*tau_b + c*tau_c), with tau_a scaled by
+    the power of two of s meanwhile so that tau_a * area stays in range.
     """
     tau = center_function_trilinears(sides, tol)
     ar = heron_area(sides)
     den = sides.a * tau.tau_a + sides.b * tau.tau_b + sides.c * tau.tau_c
-    return 2.0 * tau.tau_a * ar / den
+    e = math.frexp(sides.s)[1]
+    return math.ldexp(2.0 * math.ldexp(tau.tau_a, -e) * ar / den, e)

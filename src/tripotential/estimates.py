@@ -46,10 +46,12 @@ def shape_parameter(sides: SideLengths) -> float:
 
     Equals log(s^2 / (27 rho^2)) via rho^2 = (s-a)(s-b)(s-c)/s. Zero
     exactly for equilateral triangles and positive otherwise (AM-GM);
-    roundoff-negative values are clamped to 0.
+    roundoff-negative values are clamped to 0. Lengths are scaled by the
+    power of two of s first, as in ``heron_area``, so the cubes stay in range.
     """
-    s = sides.s
-    prod = (s - sides.a) * (s - sides.b) * (s - sides.c)
+    e = -math.frexp(sides.s)[1]
+    s = math.ldexp(sides.s, e)
+    prod = math.prod(math.ldexp(sides.s - x, e) for x in (sides.a, sides.b, sides.c))
     return max(0.0, math.log(s**3 / (27.0 * prod)))
 
 

@@ -251,7 +251,8 @@ def diameter(tri: Triangle) -> float:
 def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     """Euclidean distance from p to the triangle's boundary (3 segments):
     per edge, with u, w from p to its endpoints and e = w - u, |u| if
-    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e| (as in ``potential``)."""
+    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|. Margin tests use
+    ``_clears_boundary`` (min tau) instead."""
     dist = math.inf
     for v1, v2 in tri.edges():
         ux, uy = v1.x - p.x, v1.y - p.y

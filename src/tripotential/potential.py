@@ -18,8 +18,8 @@ the triangle's side) and n_e the outward unit normal,
 32(3), 1984). ``potential_closed`` and ``field_closed`` evaluate them at
 one point, ``potential_field_batch`` over point arrays. The same pass
 decides where the field is defined: h_e L = u x w (u, w from P to the
-edge's endpoints) gives the interior test, and r1, r2 or |u x w|/L the
-distance to the boundary. Independently, the triangle is the signed
+edge's endpoints) gives the interior test, and min u x w / L over the
+edges the field's band. Independently, the triangle is the signed
 union of the three cones spanned at P by its edges; inside each cone the
 radial part of the integral is exact, which leaves the 1D angular
 integral of the ray length R(phi), integrated numerically as the
@@ -57,8 +57,8 @@ __all__ = [
     "brute_force_max",
 ]
 
-# The closed-form field rejects points closer to the boundary than this
-# times the diameter (TooCloseToBoundary, and the ``excluded`` mask): next
+# The closed-form field rejects interior points within this times the
+# diameter of a side line (TooCloseToBoundary, and nan in the batch): next
 # to the middle of an edge E is only as accurate as the rounded u x w.
 # The potential has no band; it is continuous across the boundary and
 # evaluated in closed form everywhere.
@@ -123,7 +123,7 @@ def cone_windows(tri: Triangle, p: Point2):
 
 
 def _edge_sums(tri: Triangle, p: Point2):
-    """(V, Ex, Ey, cr_min, dist) at p from one log per edge.
+    """(V, Ex, Ey, cr_min, tau_min) at p from one log per edge.
 
     With u, w the vectors from p to the edge's endpoints (r1, r2 their
     lengths), the small denominator of l_e is formed without
@@ -131,10 +131,10 @@ def _edge_sums(tri: Triangle, p: Point2):
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
-    cr_min (the smallest u x w) and dist decide ``field_closed``'s verdicts.
+    cr_min and tau_min, the smallest u x w and u x w / L, give the verdicts.
     """
     v = fx = fy = 0.0
-    cr_min = dist = math.inf
+    cr_min = tau_min = math.inf
     for v1, v2 in tri.edges():
         ux, uy = v1.x - p.x, v1.y - p.y
         wx, wy = v2.x - p.x, v2.y - p.y
@@ -143,14 +143,8 @@ def _edge_sums(tri: Triangle, p: Point2):
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
         ex, ey = v2.x - v1.x, v2.y - v1.y
         length = math.hypot(ex, ey)
-        # the distance to the edge's segment, as in distance_to_boundary
-        d = r1 if ux * ex + uy * ey >= 0.0 else (
-            r2 if wx * ex + wy * ey <= 0.0 else abs(cr) / length
-        )
-        if d < dist:
-            dist = d
-        if cr < cr_min:
-            cr_min = cr
+        cr_min = min(cr_min, cr)
+        tau_min = min(tau_min, cr / length)
         s = r1 + r2 + length
         m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
         if m == 0.0:
@@ -159,7 +153,7 @@ def _edge_sums(tri: Triangle, p: Point2):
         v += cr * ell
         fx += ey * ell
         fy -= ex * ell
-    return v, fx, fy, cr_min, dist
+    return v, fx, fy, cr_min, tau_min
 
 
 def potential_closed(tri: Triangle, p: Point2) -> float:
@@ -234,12 +228,12 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     NotInterior
         If p is outside or on the boundary (the field diverges there).
     TooCloseToBoundary
-        If p is interior but within 1e-9 * diameter of the boundary.
+        If p is interior but within 1e-9 * diameter of a side line.
     """
-    _, ex, ey, cr_min, dist = _edge_sums(tri, p)
+    _, ex, ey, cr_min, tau_min = _edge_sums(tri, p)
     if not _locate(tri, cr_min)[0]:
         raise NotInterior(f"field is only defined strictly inside, got {p}")
-    if dist <= BOUNDARY_EXCLUSION_RTOL * diameter(tri):
+    if not tau_min > BOUNDARY_EXCLUSION_RTOL * diameter(tri):
         raise TooCloseToBoundary(
             f"{p} is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter of the boundary"
         )
@@ -250,10 +244,10 @@ class FieldBatch(NamedTuple):
     """Closed-form potential and field at an array of points.
 
     ``v`` is finite at every point, boundary included; ``ex`` and ``ey``
-    are nan except at strictly interior points outside the field's
-    exclusion band. The masks carry the same verdicts as
-    ``classify_point`` (interior, exterior; neither means the boundary
-    band) and the exclusion test of ``field_closed``, from the same pass.
+    are nan exactly where ``field_closed`` raises: outside the interior
+    and in the field's exclusion band. The masks carry the same verdicts
+    as ``classify_point`` (interior, exterior; neither means the boundary
+    band), from the same pass.
     """
 
     v: np.ndarray
@@ -261,20 +255,19 @@ class FieldBatch(NamedTuple):
     ey: np.ndarray
     interior: np.ndarray
     exterior: np.ndarray
-    excluded: np.ndarray
 
 
 def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
     One pass of ``_edge_sums``'s arithmetic gives V, E and the masks. Where
-    ``field_closed`` would raise, the masks say why and the field is nan.
-    For one point the scalar functions are faster.
+    ``field_closed`` would raise, the field is nan. For one point the
+    scalar functions are faster.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = fx = fy = 0.0
-    cr_min = dist = np.inf
+    cr_min = tau_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for v1, v2 in tri.edges():
             ux, uy = v1.x - x, v1.y - y
@@ -284,12 +277,8 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
             ex, ey = v2.x - v1.x, v2.y - v1.y
             length = math.hypot(ex, ey)
-            d = np.where(
-                ux * ex + uy * ey >= 0.0,
-                r1,
-                np.where(wx * ex + wy * ey <= 0.0, r2, np.abs(cr) / length),
-            )
-            cr_min, dist = np.minimum(cr_min, cr), np.minimum(dist, d)
+            cr_min = np.minimum(cr_min, cr)
+            tau_min = np.minimum(tau_min, cr / length)
             s = r1 + r2 + length
             r1r2 = r1 * r2
             m = np.where(dot >= 0.0, r1r2 + dot, cr * (cr / (r1r2 - dot)))
@@ -298,15 +287,13 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             fx = fx + ey * ell
             fy = fy - ex * ell
     interior, exterior = _locate(tri, cr_min)
-    excluded = dist <= BOUNDARY_EXCLUSION_RTOL * diameter(tri)
-    has_field = interior & ~excluded
+    has_field = interior & (tau_min > BOUNDARY_EXCLUSION_RTOL * diameter(tri))
     return FieldBatch(
         v,
         np.where(has_field, fx, math.nan),
         np.where(has_field, fy, math.nan),
         interior,
         exterior,
-        excluded,
     )
 
 

@@ -48,6 +48,7 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 # Gauss-7 nodes are the odd-indexed Kronrod nodes.
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
+_MAX_INTERVALS = 20000  # bisections before integrate_adaptive gives up
 
 
 class QuadResult(NamedTuple):
@@ -91,14 +92,13 @@ def integrate_adaptive(
     abs_tol: float,
     rel_tol: float = 0.0,
     max_depth: int = 20,
-    max_intervals: int = 20000,
 ) -> QuadResult:
     """Integrate f over [a, b] (b < a integrates with reversed sign).
 
     Bisects the interval with the largest |K15 - G7| estimate until the
-    accumulated error drops below max(abs_tol, rel_tol * |integral|) or
-    every remaining interval has reached max_depth. Deterministic: heap
-    ties are broken by insertion order.
+    accumulated error drops below max(abs_tol, rel_tol * |integral|),
+    every remaining interval has reached max_depth, or _MAX_INTERVALS
+    bisections are spent. Deterministic: heap ties go by insertion order.
     """
     if a == b:
         return QuadResult(0.0, 0.0, True, 0)
@@ -127,7 +127,7 @@ def integrate_adaptive(
         heapq.heappush(heap, (-e2, seq + 1, mid, hi, depth + 1, v2, e2))
         seq += 2
         n_intervals += 1
-        if n_intervals > max_intervals:
+        if n_intervals > _MAX_INTERVALS:
             break
     converged = total_err <= max(abs_tol, rel_tol * abs(total_val))
     return QuadResult(total_val, total_err, bool(converged), nfev)

@@ -87,6 +87,10 @@ INTERIOR_MARGIN_RTOL = 1e-6
 _PANEL_HALF_WIDTH = 0.25
 _PANEL_HALF_WIDTH_P = 1.5
 
+# The angular oracle's absolute tolerance per cone window and depth.
+_ORACLE_ABS_TOL = 1e-12
+_ORACLE_MAX_DEPTH = 20
+
 
 @dataclass(frozen=True)
 class RpSolveReport:
@@ -138,13 +142,7 @@ def _kernel(p: float):
     return lambda x: x**expo
 
 
-def _scaled_residual(
-    tri: Triangle,
-    p_pt: Point2,
-    p: float,
-    abs_tol: float,
-    max_depth: int,
-):
+def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
     """The stationarity integral with R normalized by the local ray scale,
     by adaptive quadrature over the cone windows.
 
@@ -163,20 +161,20 @@ def _scaled_residual(
 
         mag = integrate_adaptive(
             f_abs, phi_start, phi_start + delta, abs_tol=0.0, rel_tol=1e-3,
-            max_depth=max_depth,
+            max_depth=_ORACLE_MAX_DEPTH,
         )
         window_mag = abs(mag.value)
         # For exponents far from -1 the normalized kernel still integrates
         # to large values; the per-window budget scales with it so the
         # absolute tolerance keeps meaning "digits of the window".
-        window_tol = abs_tol * max(1.0, window_mag)
+        window_tol = _ORACLE_ABS_TOL * max(1.0, window_mag)
 
         def f(phis, ray=ray):
             return kern(ray(phis) / r0) * np.exp(1j * phis)
 
         res = integrate_adaptive(
             f, phi_start, phi_start + delta, abs_tol=window_tol,
-            max_depth=max_depth,
+            max_depth=_ORACLE_MAX_DEPTH,
         )
         if not res.converged:
             raise ToleranceNotReached(
@@ -242,18 +240,29 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     return complex(values.sum()), magnitude, float(errors.sum()), jac
 
 
-def stationarity_residual(
-    tri: Triangle,
-    p_pt: Point2,
-    p: float,
-    *,
-    abs_tol: float = 1e-12,
-    max_depth: int = 20,
-) -> FieldVector:
+def _rescaled(parts, r0: float, expo: float) -> list[float]:
+    """parts times r0**expo, back from units of r0; TripotentialError
+    unless the factor and each nonzero product are finite normal doubles."""
+    try:
+        factor = r0**expo
+    except OverflowError:
+        factor = math.inf
+    tiny = sys.float_info.min
+    if not tiny <= factor < math.inf or any(
+        part != 0.0 and not tiny <= abs(part * factor) < math.inf for part in parts
+    ):
+        raise TripotentialError(
+            f"the result times r0**{expo:g} = {r0:.3e}**{expo:g} leaves the "
+            "range of normal doubles"
+        )
+    return [part * factor for part in parts]
+
+
+def stationarity_residual(tri: Triangle, p_pt: Point2, p: float) -> FieldVector:
     """Real and imaginary parts of the V_p stationarity integral at p_pt.
 
-    Integrated per edge cone by adaptive quadrature to abs_tol on the
-    ray lengths normalized by their local geometric-mean scale; the
+    Integrated per edge cone by adaptive quadrature to 1e-12 absolute on
+    the ray lengths normalized by their local geometric-mean scale; the
     returned value is rescaled back to the literal integral. For p = -1
     the kernel is log R and the result equals the negated closed-form
     field (sign convention: this integral is -E).
@@ -263,28 +272,15 @@ def stationarity_residual(
     NotInterior
         Point outside, on the boundary, or inside the exclusion band.
     ToleranceNotReached
-        A window could not reach abs_tol within max_depth subdivisions.
+        A window could not reach its tolerance within 20 bisections.
     TripotentialError
         The factor r0**(p + 1) or a nonzero component of the literal
         integral is not a finite normal double at this triangle size.
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
-    total, _, r0 = _scaled_residual(tri, p_pt, p, abs_tol, max_depth)
-    try:
-        factor = 1.0 if p == -1.0 else r0 ** (p + 1.0)
-    except OverflowError:
-        factor = math.inf
-    tiny = sys.float_info.min
-    if not tiny <= factor < math.inf or any(
-        part != 0.0 and not tiny <= abs(part * factor) < math.inf
-        for part in (total.real, total.imag)
-    ):
-        raise TripotentialError(
-            f"the residual times r0**(p + 1) = {r0:.3e}**{p + 1.0:g} leaves the "
-            "range of normal doubles"
-        )
-    return FieldVector(total.real * factor, total.imag * factor)
+    total, _, r0 = _scaled_residual(tri, p_pt, p)
+    return FieldVector(*_rescaled((total.real, total.imag), r0, p + 1.0))
 
 
 def rp_center(
@@ -418,18 +414,19 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2, quad_n: int = 512) -> fl
     composite Simpson rule (quad_n panels per edge window) so the check
     stays independent of the adaptive machinery. The moment equals one
     third of the p = -4 stationarity integral and vanishes exactly at
-    the V_{-4} extreme point.
+    the V_{-4} extreme point. R is taken in units of the ray scale r0;
+    as in ``stationarity_residual``, NotInterior and TripotentialError
+    mark a point in the exclusion band and a result out of double range.
     """
-    _ray_scale(tri, p_pt)  # raises NotInterior inside the exclusion band
+    r0 = _ray_scale(tri, p_pt)
     moment = 0.0 + 0.0j
     for phi_start, delta, ray in cone_windows(tri, p_pt):
 
         def f(phis, ray=ray):
-            return ray(phis) ** -3.0 * np.exp(1j * phis)
+            return (ray(phis) / r0) ** -3.0 * np.exp(1j * phis)
 
         moment += _simpson_window(f, phi_start, phi_start + delta, quad_n)
-    moment /= 3.0
-    return abs(moment)
+    return _rescaled((abs(moment / 3.0),), r0, -3.0)[0]
 
 
 def _extrapolate(history, p: float) -> tuple[float, float]:

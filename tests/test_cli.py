@@ -191,20 +191,22 @@ def test_riesz_commands_at_extreme_scales(capsys, k):
             assert all(math.isfinite(row["thomson"]) for row in payload["rows"])
 
 
-def test_center_beyond_the_lambda_estimate_range_exits_2(capsys):
-    # sides of 1e+-150 now construct; the lambda estimate's
-    # shape_parameter under- or overflows there, which must still end
-    # in the JSON error object, not a traceback
+def test_center_and_search_value_at_extreme_scales(capsys):
+    # the lambda estimate's shape parameter and the search value work on
+    # lengths scaled by a power of two, so sides of 1e+-150 succeed
     for s in ("1e-150", "1e150"):
         code, out = run_cli(capsys, "center", "--sides", f"{s},{s},{s}")
-        assert code == 2
-        payload = json.loads(out)
-        validate(payload)
-        assert payload["error"]["type"] in ("ZeroDivisionError", "OverflowError")
-    for k in (-100, 100):
+        assert code == 0, out
+        validate(json.loads(out))
+    for k in (-150, -100, 100, 150):
         code, out = run_cli(capsys, "center", "--sides", f"4e{k},5e{k},6e{k}")
         assert code == 0, out
         validate(json.loads(out))
+        code, out = run_cli(capsys, "search-value", "--sides", f"6e{k},9e{k},13e{k}")
+        assert code == 0, out
+        payload = json.loads(out)
+        validate(payload)
+        assert payload["d_a"] / 10.0**k == pytest.approx(2.110731796690289, rel=1e-12)
 
 
 def test_lambda_curve_root_row_matches_center(capsys):

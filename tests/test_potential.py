@@ -2,6 +2,7 @@ import math
 import warnings
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 
 from tripotential import (
@@ -233,8 +234,6 @@ def test_brute_force_max_interior_and_deterministic():
 
 
 def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
-    import numpy as np
-
     from tripotential.geometry import _clears_boundary, _side_distances
 
     # side BC on the x axis from the origin: the distance to BC is |y|
@@ -264,6 +263,40 @@ def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
     assert _clears_boundary(_side_distances(tri, x, y), margin).tolist() == expected
     kept = [h for h, keep in zip(heights, expected) if keep]
     assert kept == [np.nextafter(margin, 1.0), 2.0 * margin, 0.3]
+    assert sum(expected) > 500
+
+
+def test_field_band_is_the_margin_predicate():
+    from tripotential.geometry import _clears_boundary, _side_distances
+
+    # side BC on the x axis from the origin, as above: the band's edge can
+    # be hit to the bit from both sides
+    tri = Triangle(Point2(0.375, 0.75), Point2(0.0, 0.0), Point2(1.0, 0.0))
+    band = BOUNDARY_EXCLUSION_RTOL * diameter(tri)
+    heights = [
+        -band, -0.0, 0.0, 1e-13, 0.5 * band, np.nextafter(band, 0.0), band,
+        np.nextafter(band, 1.0), 2.0 * band, 0.3,
+    ]
+    xs = [0.25, 0.5, 0.625]
+    x = np.array([xv for xv in xs for _ in heights])
+    y = np.array(heights * len(xs))
+    rng = make_rng(109)
+    x = np.concatenate([x, rng.uniform(-0.1, 1.1, 2000)])
+    y = np.concatenate([y, rng.uniform(-0.1, 0.85, 2000)])
+
+    def scalar(q):
+        try:
+            field_closed(tri, q)
+        except (NotInterior, TooCloseToBoundary):
+            return False
+        return True
+
+    expected = _clears_boundary(_side_distances(tri, x, y), band).tolist()
+    assert [scalar(Point2(float(a), float(b))) for a, b in zip(x, y)] == expected
+    batch = potential_field_batch(tri, x, y)
+    assert (batch.interior & ~np.isnan(batch.ex)).tolist() == expected
+    kept = [h for h, keep in zip(heights * len(xs), expected) if keep]
+    assert kept == [np.nextafter(band, 1.0), 2.0 * band, 0.3] * len(xs)
     assert sum(expected) > 500
 
 
@@ -303,13 +336,15 @@ def assert_batch_matches_scalar(tri, xs, ys):
         loc = classify_point(tri, p)
         assert batch.interior[k] == (loc is PointLocation.INTERIOR)
         assert batch.exterior[k] == (loc is PointLocation.EXTERIOR)
-        assert batch.excluded[k] == (distance_to_boundary(tri, p) <= limit)
+        in_band = distance_to_boundary(tri, p) <= limit
+        if batch.interior[k]:
+            assert math.isnan(batch.ex[k]) == in_band
         v = potential_closed(tri, p)
         assert abs(batch.v[k] - v) <= 1e-13 * abs(v)
-        if batch.excluded[k]:
+        if in_band:
             v_ref = boundary_form_reference(tri, p)[0]
             assert abs(v - v_ref) <= 1e-13 * v_ref
-        if batch.interior[k] and not batch.excluded[k]:
+        if batch.interior[k] and not in_band:
             field = field_closed(tri, p)
             err = math.hypot(batch.ex[k] - field.ex, batch.ey[k] - field.ey)
             assert err <= 1e-13 * field.norm()
@@ -362,20 +397,19 @@ def test_field_batch_grid_row_on_side_bc():
     xs = [x0 + (x1 - x0) * i / (n - 1) for i in range(n)]
     batch = assert_batch_matches_scalar(tri, xs, [y] * n)
     on_side = [0.0 <= x <= tri.c_vertex.x for x in xs]
-    assert list(batch.excluded) == on_side
     assert not batch.interior.any()
     assert list(batch.exterior) == [not s for s in on_side]
     # just off the side, inside the relative band of classify_point
     height = tri.a_vertex.y
     for offset in (1e-13 * height, -1e-13 * height):
         batch = assert_batch_matches_scalar(tri, xs, [offset] * n)
-        assert list(batch.excluded) == on_side
         assert not batch.interior.any()
         assert list(batch.exterior) == [not s for s in on_side]
     # strictly inside, yet too close to the side for the closed-form field
     batch = assert_batch_matches_scalar(tri, xs, [1e-10 * height] * n)
-    assert list(batch.excluded) == on_side
-    assert (batch.interior & batch.excluded).sum() > 25
+    inside = batch.interior
+    assert list(np.isnan(batch.ex[inside])) == list(np.array(on_side)[inside])
+    assert (batch.interior & np.isnan(batch.ex)).sum() > 25
 
 
 def boundary_form_reference(tri, p):
@@ -455,7 +489,7 @@ def test_closed_forms_next_to_vertices_against_high_precision(sides):
     batch = potential_field_batch(
         tri, [p.x for p in points], [p.y for p in points]
     )
-    assert batch.interior.all() and not batch.excluded.any()
+    assert batch.interior.all() and not np.isnan(batch.ex).any()
     for k, p in enumerate(points):
         v_ref, ex_ref, ey_ref = boundary_form_reference(tri, p)
         e_ref = math.hypot(ex_ref, ey_ref)
@@ -503,8 +537,8 @@ def test_field_batch_masks_match_scalar_in_general_pose(sides):
     tri = transform_triangle(triangle_from_sides(*sides), angle=0.7, dx=3.1, dy=-1.7)
     points = points_next_to_vertices(tri) + points_on_and_next_to_edges(tri)
     batch = assert_batch_matches_scalar(tri, [p.x for p in points], [p.y for p in points])
-    assert (batch.interior & ~batch.excluded).any()
-    assert (batch.interior & batch.excluded).any()
+    assert (batch.interior & ~np.isnan(batch.ex)).any()
+    assert (batch.interior & np.isnan(batch.ex)).any()
     assert batch.exterior.any()
 
 
@@ -518,7 +552,7 @@ def test_potential_on_and_next_to_boundary_against_high_precision(sides):
             tri, [p.x for p in points], [p.y for p in points]
         )
         scalar = [potential_closed(tri, p) for p in points]
-    assert batch.excluded.all()
+    assert np.isnan(batch.ex[batch.interior]).all()
     assert sum(distance_to_boundary(tri, p) == 0.0 for p in points) >= 9
     for k, p in enumerate(points):
         v_ref = boundary_form_reference(tri, p)[0]

@@ -1,0 +1,34 @@
+"""README's library quickstart runs and prints what its comments say."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quickstart():
+    """The first ```python block of README.md."""
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"```python\n(.*?)```", text, re.S).group(1)
+
+
+def test_readme_quickstart_prints_its_comments(capsys):
+    code = _quickstart()
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [
+        line.split("#", 1)[1].split()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    assert len(printed) == len(comments) == 3
+    for out, comment in zip(printed, comments):
+        values = [float(v) for v in out.split()]
+        assert len(values) == len(comment), out
+        for value, note in zip(values, comment):
+            if note.startswith("~"):  # an order of magnitude
+                assert abs(value) <= 100.0 * float(note[1:]), out
+            else:
+                assert value == pytest.approx(float(note), rel=1e-12), out

@@ -452,7 +452,7 @@ def test_arc_points_pass_the_angular_oracle():
     points = potential_arc(tri, [-10.0 + 0.25 * k for k in range(81)], tol)
     assert len(points) == 81 and all(ap.converged for ap in points)
     for ap in points:
-        total, magnitude, _ = rz._scaled_residual(tri, ap.point, ap.p, 1e-12, 20)
+        total, magnitude, _ = rz._scaled_residual(tri, ap.point, ap.p)
         assert abs(total) / magnitude < tol, ap.p
 
 

@@ -1,6 +1,6 @@
-"""Scale-free evaluation: the Riesz solver, its residuals and the
-side-length constructions at triangle sizes far from 1 (warnings are
-errors, see pyproject.toml)."""
+"""Scale-free evaluation: the lambda path, the Riesz solver, its residuals
+and the side-length constructions at triangle sizes far from 1 (warnings
+are errors, see pyproject.toml)."""
 
 import math
 
@@ -10,8 +10,11 @@ from tripotential import (
     Point2,
     Triangle,
     TripotentialError,
+    center_function_trilinears,
     centroid,
     electrostatic_center,
+    inversion_first_moment,
+    kimberling_search_value,
     lambda_curve,
     potential_arc,
     rp_center,
@@ -69,6 +72,22 @@ def test_stationarity_residual_is_scale_covariant(k):
         assert res.ey / factor == pytest.approx(ref.ey, rel=1e-11, abs=1e-13 * ref.norm())
 
 
+@pytest.mark.parametrize("k", EXPONENTS)
+def test_inversion_first_moment_is_scale_covariant(k):
+    # the moment has length degree -3; where 10^(-3k) leaves double range
+    # it must be refused with a typed error, never returned as nan or a
+    # false zero
+    s, tri = 10.0**k, _scaled(k)
+    q = Point2(0.3, 0.2)
+    ref = inversion_first_moment(UNIT, q)
+    if 3 * abs(k) > 300:
+        with pytest.raises(TripotentialError):
+            inversion_first_moment(tri, Point2(q.x * s, q.y * s))
+        return
+    moment = inversion_first_moment(tri, Point2(q.x * s, q.y * s))
+    assert moment * s**3 == pytest.approx(ref, rel=1e-14)
+
+
 @pytest.mark.parametrize("k", (-150, -110, 110, 150))
 def test_lambda_curve_is_scale_free(k):
     s = 10.0**k
@@ -100,10 +119,21 @@ def test_heron_and_triangle_from_sides_are_scale_free(k):
         assert v.y / s == pytest.approx(w.y, rel=1e-14, abs=1e-15)
 
 
-@pytest.mark.parametrize("k", (-100, -80, 80, 100))
+@pytest.mark.parametrize("k", (-150, -110, -100, -80, 80, 100, 110, 150))
 def test_electrostatic_center_is_scale_free(k):
-    s = 10.0**k
+    s, tri = 10.0**k, _scaled(k)
     unit, unit_sol = electrostatic_center(UNIT)
-    point, sol = electrostatic_center(_scaled(k))
+    point, sol = electrostatic_center(tri)
     assert math.hypot(point.x / s - unit.x, point.y / s - unit.y) < 1e-12
     assert sol.lam == pytest.approx(unit_sol.lam, rel=1e-12)
+    unit_sides, sides = side_lengths(UNIT), side_lengths(tri)
+    tau = center_function_trilinears(sides)
+    unit_tau = center_function_trilinears(unit_sides)
+    for got, ref in zip(
+        (tau.tau_a, tau.tau_b, tau.tau_c),
+        (unit_tau.tau_a, unit_tau.tau_b, unit_tau.tau_c),
+    ):
+        assert got / s == pytest.approx(ref, rel=1e-12)
+    assert kimberling_search_value(sides) / s == pytest.approx(
+        kimberling_search_value(unit_sides), rel=1e-12
+    )
