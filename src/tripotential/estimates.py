@@ -49,10 +49,10 @@ def shape_parameter(sides: SideLengths) -> float:
     roundoff-negative values are clamped to 0. Lengths are scaled by the
     power of two of s first, as in ``heron_area``, so the cubes stay in range.
     """
-    e = -math.frexp(sides.s)[1]
-    s = math.ldexp(sides.s, e)
-    prod = math.prod(math.ldexp(sides.s - x, e) for x in (sides.a, sides.b, sides.c))
-    return max(0.0, math.log(s**3 / (27.0 * prod)))
+    s, a, b, c = sides.s, sides.a, sides.b, sides.c
+    m, e = math.frexp(s)
+    prod = math.ldexp(s - a, -e) * math.ldexp(s - b, -e) * math.ldexp(s - c, -e)
+    return max(0.0, math.log(m**3 / (27.0 * prod)))
 
 
 def initial_guess(sides: SideLengths) -> float:

@@ -143,8 +143,11 @@ def _edge_sums(tri: Triangle, p: Point2):
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
         ex, ey = v2.x - v1.x, v2.y - v1.y
         length = math.hypot(ex, ey)
-        cr_min = min(cr_min, cr)
-        tau_min = min(tau_min, cr / length)
+        if cr < cr_min:
+            cr_min = cr
+        tau = cr / length
+        if tau < tau_min:
+            tau_min = tau
         s = r1 + r2 + length
         m = r1 * r2 + dot if dot >= 0.0 else cr * (cr / (r1 * r2 - dot))
         if m == 0.0:
