@@ -58,7 +58,7 @@ print("p = -2: equal angle-per-area spread:",
 
 rep = rp_center(tri, -4.0, tol=1e-12)
 print("p = -4: centroid defect of the inverted boundary region:",
-      inversion_first_moment(tri, rep.point, 2000))
+      inversion_first_moment(tri, rep.point))
 
 # ----------------------------------------------------------------------
 # Endpoint trends: probe increasing |p|.

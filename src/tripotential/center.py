@@ -20,8 +20,10 @@ linear system, solved relative to vertex A so that a far-off triangle
 loses no accuracy.
 
 Numerical care: the differences the equation consumes (u - a, v - w) are
-evaluated through coth(x) - 1/x and 1/sinh(x) so that no catastrophic
-cancellation occurs for small or large arguments.
+evaluated through g(x) = coth(x) - 1/x and 1/sinh(x) so that no
+catastrophic cancellation occurs for small or large arguments. g is
+evaluated in one place, ``coth_parts``; the Newton slope comes from the
+same pass, since g' = 1 - g^2 - 2g/x follows from coth' = 1 - coth^2.
 """
 
 from __future__ import annotations
@@ -76,10 +78,7 @@ def _coth_less_inv(x: float) -> float:
                 )
             )
         )
-    if x <= 20.0:
-        return 1.0 / math.tanh(x) - 1.0 / x
-    e2 = math.exp(-2.0 * x)
-    return 1.0 - 1.0 / x + 2.0 * e2 * (1.0 + e2)
+    return 1.0 / math.tanh(x) - 1.0 / x
 
 
 def _inv_sinh(x: float) -> float:
@@ -119,35 +118,6 @@ class LambdaSolution:
     iterations: int
 
 
-def _rhs(sides: SideLengths) -> float:
-    """Right-hand side of the lambda equation: 4*area, by Kahan's Heron."""
-    return 4.0 * heron_area(sides)
-
-
-def _g_parts(x: float, t: float) -> tuple[float, float, float]:
-    """(x*g(xt), x^2*g'(xt), 1/sinh(xt)) for one side x, g(u) = coth(u) - 1/u.
-
-    g'(u) = 1/u^2 - csch^2(u) cancels for small u, where its series
-    1/3 - u^2/15 + 2u^4/189 - u^6/675 + ... is used instead.
-    """
-    u = x * t
-    csch = _inv_sinh(u)
-    if u <= 0.125:
-        u2 = u * u
-        dg = 1.0 / 3.0 + u2 * (
-            -1.0 / 15.0
-            + u2
-            * (
-                2.0 / 189.0
-                + u2
-                * (-1.0 / 675.0 + u2 * (2.0 / 10395.0 - u2 * 15202.0 / 638512875.0))
-            )
-        )
-    else:
-        dg = 1.0 / (u * u) - csch * csch
-    return x * _coth_less_inv(u), x * x * dg, csch
-
-
 def _lhs_terms(
     sides: SideLengths, lam: float
 ) -> tuple[tuple[float, float, float], float]:
@@ -159,26 +129,26 @@ def _lhs_terms(
 
         dT_x/dt = -x*csch(xt)*[x*coth(xt)*sqrt(x^2 - D^2) + D*D'/sqrt(x^2 - D^2)]
 
-    with D' = y^2*g'(yt) - z^2*g'(zt). A radicand may graze zero from
-    roundoff near the root; it is clamped at 0 if above -1e-12 relative,
-    below which genuine negativity is an invariant violation. The slope is
-    nan when a radicand clamps to 0 (the square root's derivative is
-    unbounded there).
+    with D' = y^2*g'(yt) - z^2*g'(zt). The g parts come from one
+    ``coth_parts`` pass, and g' from g itself: coth' = 1 - coth^2 gives
+    g'(u) = 1 - g^2 - 2g/u, so x^2*g'(xt) = x^2 - x*g*(x*g + 2/t). A
+    radicand may graze zero from roundoff near the root; it is clamped at
+    0 if above -1e-12 relative, below which genuine negativity is an
+    invariant violation. The slope is nan when a radicand clamps to 0
+    (the square root's derivative is unbounded there).
     """
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    inv_t, ga, gb, gc = coth_parts(sides, lam)
     t = lam / (2.0 * sides.s)
-    inv_t = 1.0 / t
     a, b, c = sides.a, sides.b, sides.c
-    ga, dga, csch_a = _g_parts(a, t)
-    gb, dgb, csch_b = _g_parts(b, t)
-    gc, dgc, csch_c = _g_parts(c, t)
+    dga = a * a - ga * (ga + 2.0 * inv_t)
+    dgb = b * b - gb * (gb + 2.0 * inv_t)
+    dgc = c * c - gc * (gc + 2.0 * inv_t)
     terms = []
     dt = 0.0
-    for x, gx, csch_x, diff, ddiff in (
-        (a, ga, csch_a, gb - gc, dgb - dgc),
-        (b, gb, csch_b, gc - ga, dgc - dga),
-        (c, gc, csch_c, ga - gb, dga - dgb),
+    for x, gx, diff, ddiff in (
+        (a, ga, gb - gc, dgb - dgc),
+        (b, gb, gc - ga, dgc - dga),
+        (c, gc, ga - gb, dga - dgb),
     ):
         rad = (x - diff) * (x + diff)
         if rad <= 0.0:
@@ -190,6 +160,7 @@ def _lhs_terms(
             dt = math.nan
             continue
         root = math.sqrt(rad)
+        csch_x = _inv_sinh(x * t)
         terms.append(x * csch_x * root)
         # x*coth(xt) = 1/t + x*g(xt)
         dt -= x * csch_x * ((inv_t + gx) * root + diff * ddiff / root)
@@ -202,7 +173,7 @@ def lambda_residual(sides: SideLengths, lam: float) -> float:
     Strictly decreasing in lambda: positive left of the root, negative
     right of it.
     """
-    return math.fsum(_lhs_terms(sides, lam)[0]) - _rhs(sides)
+    return math.fsum(_lhs_terms(sides, lam)[0]) - 4.0 * heron_area(sides)
 
 
 # Residual evaluations after which solve_lambda gives up.
@@ -234,7 +205,7 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")
-    rhs = _rhs(sides)
+    rhs = 4.0 * heron_area(sides)
     lam = initial_guess(sides)
     log_rhs = math.log(rhs)
     lo, hi = 0.0, math.inf
@@ -339,7 +310,9 @@ def _offset_from_a(
 
 def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, float]:
     """(2s/lambda, a*g(at), b*g(bt), c*g(ct)) with g(x) = coth(x) - 1/x;
-    u, v, w are inv_t plus the respective g part."""
+    u, v, w are inv_t plus the respective g part. The only place g is
+    evaluated: the lambda equation's terms and slope, the solved
+    distances and the center's point all take it from here."""
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
     t = lam / (2.0 * sides.s)

@@ -86,10 +86,14 @@ INTERIOR_MARGIN_RTOL = 1e-6
 # grows or decays like cosh(s)^(p+1), so panels narrow as |p| grows.
 _PANEL_HALF_WIDTH = 0.25
 _PANEL_HALF_WIDTH_P = 1.5
+# Panels per edge above which the edge rule refuses the exponent.
+_MAX_PANELS = 2**16
 
-# The angular oracle's absolute tolerance per cone window and depth.
+# The angular oracle's absolute tolerance per cone window and depth, and
+# the inversion check's composite Simpson panels per cone window.
 _ORACLE_ABS_TOL = 1e-12
 _ORACLE_MAX_DEPTH = 20
+_INVERSION_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,10 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
         d = (v1.x - p_pt.x) * uy - (v1.y - p_pt.y) * ux
         s1 = math.asinh(((v1.x - p_pt.x) * ux + (v1.y - p_pt.y) * uy) / d)
         s2 = math.asinh(((v2.x - p_pt.x) * ux + (v2.y - p_pt.y) * uy) / d)
-        panels = math.ceil((s2 - s1) / width)
+        count = (s2 - s1) / width
+        if not count <= _MAX_PANELS:
+            raise TripotentialError(f"p={p:g} needs {count:.3g} panels on an edge")
+        panels = math.ceil(count)
         rows.append((panels, s1, (s2 - s1) / panels, d / r0,
                      complex(uy, -ux), complex(ux, uy)))
     panels, s1, step, scale, normal, along = (np.array(col) for col in zip(*rows))
@@ -225,15 +232,17 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     s = (s1[edge] + (2 * k + 1) * half)[:, None] + half[:, None] * _NODES
     sech = 1.0 / np.cosh(s)
     rho = scale[edge, None] / sech
-    rho_p = rho**p
-    if p == -1.0:
-        kern, kern_prime = np.log(rho), rho_p
-    else:
-        kern, kern_prime = rho_p * rho, (p + 1.0) * rho_p
     unit = (normal[edge, None] + np.sinh(s) * along[edge, None]) * sech
-    values, errors = _gk15_panels(kern * sech * unit, half)
-    magnitude = float(half @ (np.abs(kern) * sech @ _WK))
-    moment = half * ((kern_prime * unit) @ _WK)
+    # An overflowing kernel leaves a nan error estimate, refused by rp_center.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_p = rho**p
+        if p == -1.0:
+            kern, kern_prime = np.log(rho), rho_p
+        else:
+            kern, kern_prime = rho_p * rho, (p + 1.0) * rho_p
+        values, errors = _gk15_panels(kern * sech * unit, half)
+        magnitude = float(half @ (np.abs(kern) * sech @ _WK))
+        moment = half * ((kern_prime * unit) @ _WK)
     gx = -(normal.real[edge] @ moment)
     gy = -(normal.imag[edge] @ moment)
     jac = np.array([[gx.real, gx.imag], [gy.real, gy.imag]])
@@ -312,7 +321,9 @@ def rp_center(
         After max_iterations; carries the best iterate and its residual.
     ToleranceNotReached
         The panel rule's error estimate exceeds min(1e-12, 1e-3 * tol)
-        times max(1, integral of |kernel|).
+        times max(1, integral of |kernel|), or is nan (kernel overflow).
+    TripotentialError
+        |p| needs over 2^16 panels on an edge, or the Jacobian is not finite.
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
@@ -330,7 +341,7 @@ def rp_center(
     for iteration in range(1, max_iterations + 1):
         val, mag, err, jac = _edge_rule(tri, x, p, r0)
         budget = quad_tol * max(1.0, mag)
-        if err > budget:
+        if not err <= budget:  # also catches a nan estimate
             raise ToleranceNotReached(
                 f"edge panel quadrature reached {err:.3e} absolute "
                 f"(target {budget:.3e})",
@@ -371,6 +382,8 @@ def _newton_step(jac: np.ndarray, val: complex) -> tuple[float, float]:
     det = a * d - b * c
     if det != 0.0 and math.isfinite(det):
         return (b * val.imag - d * val.real) / det, (c * val.real - a * val.imag) / det
+    if not np.isfinite(jac).all():
+        raise TripotentialError("the edge rule's Jacobian is not finite")
     step = np.linalg.lstsq(jac, [-val.real, -val.imag], rcond=None)[0]
     return float(step[0]), float(step[1])
 
@@ -395,37 +408,30 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     return max(ratios) - min(ratios)
 
 
-def _simpson_window(f, a: float, b: float, n_panels: int) -> complex:
-    n = max(2, n_panels + (n_panels % 2))
-    phis = np.linspace(a, b, n + 1)
-    y = f(phis)
-    h = (b - a) / n
-    return (h / 3.0) * (
-        y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
-    )
-
-
-def inversion_first_moment(tri: Triangle, p_pt: Point2, quad_n: int = 512) -> float:
+def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:
     """Norm of the centroid defect of the inverted boundary region.
 
     Inverting the boundary in the unit circle about p_pt encloses a
     region with radial extent 1/R(phi); its first moment about p_pt is
     (1/3) * integral of R(phi)^(-3) e^{i phi} dphi, evaluated here with a
-    composite Simpson rule (quad_n panels per edge window) so the check
+    composite Simpson rule (4096 panels per edge window) so the check
     stays independent of the adaptive machinery. The moment equals one
     third of the p = -4 stationarity integral and vanishes exactly at
     the V_{-4} extreme point. R is taken in units of the ray scale r0;
     as in ``stationarity_residual``, NotInterior and TripotentialError
     mark a point in the exclusion band and a result out of double range.
     """
+    n = _INVERSION_PANELS
     r0 = _ray_scale(tri, p_pt)
     moment = 0.0 + 0.0j
     for phi_start, delta, ray in cone_windows(tri, p_pt):
-
-        def f(phis, ray=ray):
-            return (ray(phis) / r0) ** -3.0 * np.exp(1j * phis)
-
-        moment += _simpson_window(f, phi_start, phi_start + delta, quad_n)
+        phi_end = phi_start + delta
+        phis = np.linspace(phi_start, phi_end, n + 1)
+        y = (ray(phis) / r0) ** -3.0 * np.exp(1j * phis)
+        h = (phi_end - phi_start) / n
+        moment += (h / 3.0) * (
+            y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])
+        )
     return _rescaled((abs(moment / 3.0),), r0, -3.0)[0]
 
 
@@ -481,9 +487,10 @@ def potential_arc(
     and down from it, each solve warm-started from the gated polynomial
     extrapolation of the points already solved in its direction
     (predictor-corrector continuation, see ``_predict``). Results come
-    in ascending p, one row per exponent, duplicates included. Failed
-    solves are recorded with converged=False, do not abort the sweep
-    and do not feed the predictor.
+    in ascending p, one row per exponent, duplicates included. A solve
+    that raises NoConvergence is recorded with converged=False, does not
+    abort the sweep and does not feed the predictor; any other error of
+    one solve ends the sweep.
     """
     ps = [float(q) for q in p_values]
     if ps != sorted(ps):

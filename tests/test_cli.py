@@ -468,3 +468,34 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
     validate(payload)
     assert payload["error"]["type"] == "FileNotFoundError"
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("center", "--sides", "1,1,2"),
+        ("grid", "--sides", "1,1,1", "--n", "4"),
+        ("survey", "--n", "50"),
+        ("verify", "--tol", "0"),
+        # Exponents whose kernel or its derivative overflows, or whose edge
+        # rule would need more panels than it allows.
+        ("rp-center", "--sides", "3,4,5", "--p", "594"),
+        ("rp-center", "--sides", "3,4,5", "--p", "1000"),
+        ("rp-center", "--sides", "3,4,5", "--p", "1e9"),
+        ("rp-center", "--sides", "3,4,5", "--p", "1e308"),
+        ("arc", "--sides", "3,4,5", "--p-min", "-400", "--p-max", "400",
+         "--steps", "5"),
+    ],
+    ids=" ".join,
+)
+def test_failure_prints_one_json_error_on_stdout(capfd, argv):
+    # capfd, unlike capsys, also sees what C code writes to file
+    # descriptor 1 (LAPACK reports illegal arguments there).
+    code = main(list(argv))
+    out, err = capfd.readouterr()
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload)
+    assert set(payload) == {"error"}
+    for name in ("TypeError", "LinAlgError", "Traceback"):
+        assert name not in out and name not in err

@@ -122,7 +122,7 @@ def test_inversion_centroid_property_at_p_minus_four():
     for _ in range(5):
         tri = random_triangle(rng)
         rep = rp_center(tri, -4.0)
-        assert inversion_first_moment(tri, rep.point, 2000) < 1e-8
+        assert inversion_first_moment(tri, rep.point) < 1e-8
 
 
 def test_inversion_moment_factor_three_identity():
@@ -130,14 +130,14 @@ def test_inversion_moment_factor_three_identity():
     for _ in range(10):
         tri = random_triangle(rng)
         p = random_interior_point(rng, tri, margin=0.05)
-        moment = inversion_first_moment(tri, p, 4000)
+        moment = inversion_first_moment(tri, p)
         res = stationarity_residual(tri, p, -4.0)
         assert moment == pytest.approx(res.norm() / 3.0, abs=1e-10)
 
 
 def test_inversion_moment_zero_at_equilateral_centroid():
     tri = triangle_from_sides(1, 1, 1)
-    assert inversion_first_moment(tri, centroid(tri), 2000) < 1e-12
+    assert inversion_first_moment(tri, centroid(tri)) < 1e-12
 
 
 def test_arc_inserts_special_exponents_and_passes_centroid():
