@@ -16,8 +16,8 @@ It is found by safeguarded Newton steps on log LHS - log RHS with the
 analytic slope: LHS decays exponentially in lambda on slivers, and the
 log form stays close to linear there. From the root, u, v, w give the
 distances to the vertices and the center's Cartesian coordinates via a
-linear system, solved relative to vertex A so that a far-off triangle
-loses no accuracy.
+linear system, solved in the triangle's local frame (see ``geometry``)
+so that neither size nor a far-off position costs accuracy.
 
 Numerical care: the differences the equation consumes (u - a, v - w) are
 evaluated through g(x) = coth(x) - 1/x and 1/sinh(x) so that no
@@ -41,7 +41,6 @@ from .geometry import (
     Trilinears,
     cevian_angles,
     classify_point,
-    diameter,
     heron_area,
     side_lengths,
     vertex_distances,
@@ -262,40 +261,24 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
 
 def point_from_coth_parts(
     tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
-) -> Point2:
-    """The point whose vertex-distance sums are u = inv_t + ga (and cyclic).
+) -> tuple[float, float]:
+    """The point whose vertex-distance sums are u = inv_t + ga (and cyclic),
+    in the triangle's local frame (``Triangle._from_frame`` maps it back).
 
     Subtracting the three vertex-distance circle equations pairwise
-    yields a linear system (radical-center style) whose solution is
+    yields a linear system (radical-center style) solved, A at 0, by
 
-        x = [(|A|^2 - vw)(yB - yC) + (|B|^2 - wu)(yC - yA)
-             + (|C|^2 - uv)(yA - yB)] / [2 xA (yB - yC) + cyclic]
+        x = [(|B|^2 - wu) yC - (|C|^2 - uv) yB - vw (yB - yC)] / [2 (xB yC - xC yB)]
 
     and the mirrored expression for y. The products vw, wu, uv all carry
     the common pole inv_t^2 = (2s/lambda)^2, which multiplies the
     telescoping sums sum(yB - yC) = 0 and drops out exactly; it is
     cancelled analytically here, since evaluating it numerically destroys
-    the result for small lambda. The system is solved relative to vertex
-    A, which keeps the squared vertex norms at the triangle's own scale,
-    so a triangle far from the origin loses nothing but the final
-    translation.
+    the result for small lambda. The g parts, lengths of the triangle's
+    own size, are scaled into the frame first.
     """
-    A = tri.a_vertex
-    dx, dy = _offset_from_a(tri, inv_t, ga, gb, gc)
-    return Point2(A.x + dx, A.y + dy)
-
-
-def _offset_from_a(
-    tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
-) -> tuple[float, float]:
-    """``point_from_coth_parts``'s solution minus vertex A, on lengths
-    scaled exactly by 2^-e (the diameter into [0.5, 1)) so that the cubic
-    products neither overflow nor underflow at any triangle size."""
-    A, B, C = tri.vertices
-    e = math.frexp(diameter(tri))[1]
+    e, bx, by, cx, cy = tri._frame
     k = math.ldexp(1.0, -e)
-    bx, by = k * (B.x - A.x), k * (B.y - A.y)
-    cx, cy = k * (C.x - A.x), k * (C.y - A.y)
     inv_t, ga, gb, gc = k * inv_t, k * ga, k * gb, k * gc
     qa = -gb * gc
     qb = bx * bx + by * by - gc * ga
@@ -305,7 +288,7 @@ def _offset_from_a(
     num_x = qa * (by - cy) + qb * cy - qc * by + inv_t * gy
     num_y = qa * (bx - cx) + qb * cx - qc * bx + inv_t * gx
     den = 2.0 * (bx * cy - cx * by)
-    return math.ldexp(num_x / den, e), math.ldexp(-num_y / den, e)
+    return num_x / den, -num_y / den
 
 
 def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, float]:
@@ -336,21 +319,19 @@ def electrostatic_center(
     """
     sides = side_lengths(tri)
     sol = solve_lambda(sides, tol)
-    A, B, C = tri.vertices
-    dx, dy = _offset_from_a(tri, *coth_parts(sides, sol.lam))
-    p = Point2(A.x + dx, A.y + dy)
-    diam = max(sides.a, sides.b, sides.c)
-    allowed = max(1e-9, 100.0 * tol) * diam
-    # Distances from the offset, not from p: p's absolute coordinates are
-    # rounded to the ulp of the translation, which may exceed the bound.
-    da = math.hypot(dx, dy)
-    db = math.hypot(dx - (B.x - A.x), dy - (B.y - A.y))
-    dc = math.hypot(dx - (C.x - A.x), dy - (C.y - A.y))
-    mismatch = max(abs(da - sol.r_a), abs(db - sol.r_b), abs(dc - sol.r_c))
-    if mismatch > allowed:
+    x, y = point_from_coth_parts(tri, *coth_parts(sides, sol.lam))
+    e, bx, by, cx, cy = tri._frame
+    k = math.ldexp(1.0, -e)
+    mismatch = max(
+        abs(math.hypot(x, y) - k * sol.r_a),
+        abs(math.hypot(x - bx, y - by) - k * sol.r_b),
+        abs(math.hypot(x - cx, y - cy) - k * sol.r_c),
+    )
+    if mismatch > max(1e-9, 100.0 * tol) * k * max(sides.a, sides.b, sides.c):
         raise TripotentialError(
-            f"vertex distances disagree with the lambda solution by {mismatch}"
+            f"vertex distances disagree with the lambda solution by {mismatch / k}"
         )
+    p = tri._from_frame(x, y)
     if classify_point(tri, p) is not PointLocation.INTERIOR:
         raise TripotentialError(f"computed center {p} is not interior")
     return p, sol

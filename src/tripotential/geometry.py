@@ -10,6 +10,12 @@ Conventions used throughout the package:
 * Trilinear coordinates are kept in the "exact" gauge: ``tau_a, tau_b,
   tau_c`` are the actual signed distances from the point to sides BC, CA,
   AB, so that ``a*tau_a + b*tau_b + c*tau_c == 2*area`` identically.
+* Computed points and scale-sensitive values come from the triangle's
+  local frame: A at the origin, lengths scaled exactly by the power of
+  two 2^-e that brings the diameter into [0.5, 1), so nothing overflows
+  or underflows at any size and an offset costs only the way back, one
+  ``ldexp`` and one add per coordinate (``TripotentialError`` if the
+  point is not finite).
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateTriangle, DegenerateTrilinears, NotInterior
+from .errors import (
+    DegenerateTriangle, DegenerateTrilinears, NotInterior, TripotentialError,
+)
 
 __all__ = [
     "Point2",
@@ -121,6 +129,37 @@ class Triangle:
         """Directed edges (A,B), (B,C), (C,A) in counterclockwise order."""
         A, B, C = self.vertices
         return ((A, B), (B, C), (C, A))
+
+    @functools.cached_property
+    def _frame(self) -> tuple[int, float, float, float, float]:
+        """The local frame (e, bx, by, cx, cy): B - A and C - A scaled
+        exactly by 2^-e, which brings the diameter into [0.5, 1)."""
+        A, B, C = self.vertices
+        e = math.frexp(diameter(self))[1]
+        return (e, math.ldexp(B.x - A.x, -e), math.ldexp(B.y - A.y, -e),
+                math.ldexp(C.x - A.x, -e), math.ldexp(C.y - A.y, -e))
+
+    @functools.cached_property
+    def _local(self) -> "Triangle":
+        """The frame as a triangle, for the solvers that take one."""
+        _, bx, by, cx, cy = self._frame
+        return Triangle(Point2(0.0, 0.0), Point2(bx, by), Point2(cx, cy))
+
+    def _to_frame(self, p: Point2) -> Point2:
+        """p in frame coordinates."""
+        e, A = self._frame[0], self.a_vertex
+        return Point2(math.ldexp(p.x - A.x, -e), math.ldexp(p.y - A.y, -e))
+
+    def _from_frame(self, x: float, y: float) -> Point2:
+        """The point at frame coordinates (x, y); TripotentialError if that
+        is not a finite point."""
+        e, A = self._frame[0], self.a_vertex
+        try:
+            return Point2(A.x + math.ldexp(x, e), A.y + math.ldexp(y, e))
+        except (OverflowError, ValueError):
+            raise TripotentialError(
+                f"frame point ({x!r}, {y!r}) times 2^{e} is not a finite point"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -323,24 +362,21 @@ def trilinear_to_cartesian(tri: Triangle, t: Trilinears) -> Point2:
     """Cartesian point for trilinears t (any gauge).
 
     Uses the fact that (a*tau_a : b*tau_b : c*tau_c) are barycentric
-    coordinates.
+    coordinates; with A at the frame's origin only B and C weigh in.
 
     Raises
     ------
     DegenerateTrilinears
         If a*tau_a + b*tau_b + c*tau_c vanishes (point at infinity).
     """
-    A, B, C = tri.vertices
+    _, bx, by, cx, cy = tri._frame
     sl = side_lengths(tri)
     wa, wb, wc = sl.a * t.tau_a, sl.b * t.tau_b, sl.c * t.tau_c
     den = wa + wb + wc
     scale = abs(wa) + abs(wb) + abs(wc)
     if abs(den) <= 1e-14 * scale:
         raise DegenerateTrilinears(f"barycentric normalizer vanishes for {t}")
-    return Point2(
-        (wa * A.x + wb * B.x + wc * C.x) / den,
-        (wa * A.y + wb * B.y + wc * C.y) / den,
-    )
+    return tri._from_frame((wb * bx + wc * cx) / den, (wb * by + wc * cy) / den)
 
 
 def _angle_between(ux, uy, vx, vy) -> float:
@@ -381,29 +417,18 @@ def centroid(tri: Triangle) -> Point2:
 
 
 def incenter(tri: Triangle) -> Point2:
-    A, B, C = tri.vertices
-    sl = side_lengths(tri)
-    den = sl.a + sl.b + sl.c
-    return Point2(
-        (sl.a * A.x + sl.b * B.x + sl.c * C.x) / den,
-        (sl.a * A.y + sl.b * B.y + sl.c * C.y) / den,
-    )
+    return trilinear_to_cartesian(tri, Trilinears(1.0, 1.0, 1.0))
 
 
 def circumcenter(tri: Triangle) -> Point2:
-    A, B, C = tri.vertices
-    d = 2.0 * (A.x * (B.y - C.y) + B.x * (C.y - A.y) + C.x * (A.y - B.y))
-    sa = A.x * A.x + A.y * A.y
-    sb = B.x * B.x + B.y * B.y
-    sc = C.x * C.x + C.y * C.y
-    return Point2(
-        (sa * (B.y - C.y) + sb * (C.y - A.y) + sc * (A.y - B.y)) / d,
-        (sa * (C.x - B.x) + sb * (A.x - C.x) + sc * (B.x - A.x)) / d,
-    )
+    _, bx, by, cx, cy = tri._frame
+    d = 2.0 * (bx * cy - by * cx)
+    sb, sc = bx * bx + by * by, cx * cx + cy * cy
+    return tri._from_frame((cy * sb - by * sc) / d, (bx * sc - cx * sb) / d)
 
 
 def orthocenter(tri: Triangle) -> Point2:
-    # Reflection identity: H = A + B + C - 2*O with O the circumcenter.
-    A, B, C = tri.vertices
-    o = circumcenter(tri)
-    return Point2(A.x + B.x + C.x - 2.0 * o.x, A.y + B.y + C.y - 2.0 * o.y)
+    # With A at the origin, H . (C - B) = 0 and (H - B) . C = 0.
+    _, bx, by, cx, cy = tri._frame
+    k = (bx * cx + by * cy) / (bx * cy - by * cx)
+    return tri._from_frame((cy - by) * k, (bx - cx) * k)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .geometry import (
     _clears_boundary,
     _cross,
     _side_distances,
-    cartesian_to_trilinear,
     centroid,
     classify_point,
     diameter,
@@ -311,7 +310,8 @@ def rp_center(
     1e-6 * diameter margin, tested in one trilinear pass that also
     yields the next ray scale. Convergence is on the scale-normalized
     residual (|integral| / integral of |kernel|) so the same tol is
-    meaningful across exponents and triangle sizes.
+    meaningful across exponents and triangle sizes. It iterates in the
+    triangle's local frame; the point is rounded once, on the way back.
 
     Raises
     ------
@@ -329,17 +329,18 @@ def rp_center(
         raise ValueError(f"exponent must be finite, got {p}")
     if tol < 1e-12:
         raise ValueError(f"tol must be >= 1e-12, got {tol}")
-    diam = diameter(tri)
+    local = tri._local
+    diam = diameter(local)
     quad_tol = min(1e-12, max(1e-14, 1e-3 * tol))
 
-    x = x0 if x0 is not None else centroid(tri)
-    r0 = _admissible_ray_scale(tri, x, diam)
+    x = tri._to_frame(x0) if x0 is not None else centroid(local)
+    r0 = _admissible_ray_scale(local, x, diam)
     if r0 is None:
-        raise NotInterior(f"starting point {x} lacks interior margin")
+        raise NotInterior(f"starting point {x0 or centroid(tri)} lacks interior margin")
 
     best_x, best_norm = x, math.inf
     for iteration in range(1, max_iterations + 1):
-        val, mag, err, jac = _edge_rule(tri, x, p, r0)
+        val, mag, err, jac = _edge_rule(local, x, p, r0)
         budget = quad_tol * max(1.0, mag)
         if not err <= budget:  # also catches a nan estimate
             raise ToleranceNotReached(
@@ -352,14 +353,12 @@ def rp_center(
         if norm < best_norm:
             best_x, best_norm = x, norm
         if norm < tol:
-            return RpSolveReport(
-                point=x, residual_norm=norm, iterations=iteration, p=p
-            )
+            return RpSolveReport(tri._from_frame(x.x, x.y), norm, iteration, p)
         dx, dy = _newton_step(jac, val)
         scale = r0  # the Jacobian is per unit r0
         for _ in range(60):
             cand = Point2(x.x + scale * dx, x.y + scale * dy)
-            cand_r0 = _admissible_ray_scale(tri, cand, diam)
+            cand_r0 = _admissible_ray_scale(local, cand, diam)
             if cand_r0 is not None:
                 break
             scale *= 0.5
@@ -369,7 +368,7 @@ def rp_center(
     raise NoConvergence(
         f"no convergence for p={p} after {max_iterations} iterations "
         f"(best residual {best_norm:.3e})",
-        best_point=best_x,
+        best_point=tri._from_frame(best_x.x, best_x.y),
         residual_norm=best_norm,
         iterations=max_iterations,
     )
@@ -437,18 +436,16 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:
 
 def _extrapolate(history, p: float) -> tuple[float, float]:
     """The Lagrange polynomial through the points (p_i, x_i) of history,
-    evaluated at p as an offset from the last point (so a far-off
-    triangle keeps its digits)."""
-    last = history[-1][1]
-    dx = dy = 0.0
+    evaluated at p."""
+    x = y = 0.0
     for j, (pj, qj) in enumerate(history):
         w = 1.0
         for m, (pm, _) in enumerate(history):
             if m != j:
                 w *= (p - pm) / (pj - pm)
-        dx += w * (qj.x - last.x)
-        dy += w * (qj.y - last.y)
-    return last.x + dx, last.y + dy
+        x += w * qj.x
+        y += w * qj.y
+    return x, y
 
 
 def _predict(tri: Triangle, history, p: float, diam: float) -> Point2:
@@ -503,13 +500,14 @@ def potential_arc(
             ps.append(special)
     ps.sort()
 
-    diam = diameter(tri)
-    g = centroid(tri)
+    local = tri._local  # the sweep runs in the frame
+    diam = diameter(local)
+    g = centroid(local)
     results: list[ArcPoint] = [None] * len(ps)
 
     def solve(i: int, start: Point2) -> Point2 | None:
         try:
-            rep = rp_center(tri, ps[i], tol, x0=start)
+            rep = rp_center(local, ps[i], tol, x0=start)
         except NoConvergence as exc:
             results[i] = ArcPoint(
                 ps[i], exc.best_point, exc.residual_norm, exc.iterations, False
@@ -526,7 +524,7 @@ def potential_arc(
     for sweep in (range(first + 1, len(ps)), range(first - 1, -1, -1)):
         history = list(seed)
         for i in sweep:
-            start = _predict(tri, history, ps[i], diam) if history else g
+            start = _predict(local, history, ps[i], diam) if history else g
             x = solve(i, start)
             if x is None:
                 continue
@@ -534,7 +532,7 @@ def potential_arc(
                 history[-1] = (ps[i], x)  # a duplicate exponent
             else:
                 history.append((ps[i], x))
-    return results
+    return [replace(ap, point=tri._from_frame(ap.point.x, ap.point.y)) for ap in results]
 
 
 def lambda_curve(
@@ -552,11 +550,10 @@ def lambda_curve(
     if any(not math.isfinite(v) or v <= 0.0 for v in lams):
         raise ValueError("all lambda values must be positive and finite")
     sides = side_lengths(tri)
-    out = []
-    for lam in lams:
-        inv_t, ga, gb, gc = coth_parts(sides, lam)
-        out.append((lam, point_from_coth_parts(tri, inv_t, ga, gb, gc)))
-    return out
+    return [
+        (lam, tri._from_frame(*point_from_coth_parts(tri, *coth_parts(sides, lam))))
+        for lam in lams
+    ]
 
 
 def thomson_residual(tri: Triangle, p_pt: Point2) -> float:
@@ -567,18 +564,14 @@ def thomson_residual(tri: Triangle, p_pt: Point2) -> float:
     total length degree 5 (3 in the trilinears, 2 in the sides) and so is
     the normalizer, making "near zero" mean the same thing for any
     triangle size. Vanishes at the incenter, centroid, circumcenter,
-    orthocenter, the vertices, and the side midpoints.
-
-    Every length is first scaled by the power of two 2^-e that brings the
-    diameter into [0.5, 1). That is exact, so the degree-5 products
-    neither underflow nor overflow at any triangle size.
+    orthocenter, the vertices, and the side midpoints. It is evaluated
+    in the triangle's local frame, where the degree-5 products neither
+    underflow nor overflow.
     """
-    e = -math.frexp(diameter(tri))[1]
-    tau = cartesian_to_trilinear(tri, p_pt)
-    sl = side_lengths(tri)
-    ta, tb, tc = (math.ldexp(t, e) for t in (tau.tau_a, tau.tau_b, tau.tau_c))
-    a, b, c = (math.ldexp(x, e) for x in (sl.a, sl.b, sl.c))
-    rho = math.ldexp(inradius(tri), e)
+    local, q = tri._local, tri._to_frame(p_pt)
+    ta, tb, tc = _side_distances(local, q.x, q.y)
+    a, b, c = local.sides.a, local.sides.b, local.sides.c
+    rho = inradius(local)
     val = (
         b * c * ta * (tb * tb - tc * tc)
         + c * a * tb * (tc * tc - ta * ta)

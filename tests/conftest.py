@@ -2,6 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Hypothesis draws the same examples on every run and keeps no example
+# database, so the tier-1 suite is reproducible.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 from tripotential import (
     Point2,

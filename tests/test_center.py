@@ -291,7 +291,8 @@ def test_kimberling_value_equals_height_of_center():
 def test_point_from_coth_parts_consistency(golden_triangle):
     sides = side_lengths(golden_triangle)
     sol = solve_lambda(sides)
-    p = point_from_coth_parts(golden_triangle, *coth_parts(sides, sol.lam))
+    xy = point_from_coth_parts(golden_triangle, *coth_parts(sides, sol.lam))
+    p = golden_triangle._from_frame(*xy)
     assert p.x == pytest.approx(GOLDEN_CENTER[0], abs=1e-12)
     assert p.y == pytest.approx(GOLDEN_CENTER[1], abs=1e-12)
 

@@ -140,6 +140,17 @@ def test_rp_center_illuminating(capsys):
     assert illuminating_spread(tri, point) < 1e-8
 
 
+def test_rp_center_far_from_the_origin(capsys):
+    # 4,5,6 moved by 1e7: the solve runs in the triangle's own frame
+    tri = triangle_from_sides(4, 5, 6)
+    vertices = [f"{v.x + 1e7!r},{v.y + 1e7!r}" for v in tri.vertices]
+    code, out = run_cli(capsys, "rp-center", "--vertices", *vertices, "--p", "-4")
+    assert code == 0, out
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["iterations"] == 5
+
+
 def test_arc_contains_centroid_row(capsys):
     code, out = run_cli(
         capsys,

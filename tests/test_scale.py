@@ -1,6 +1,7 @@
-"""Scale-free evaluation: the lambda path, the Riesz solver, its residuals
-and the side-length constructions at triangle sizes far from 1 (warnings
-are errors, see pyproject.toml)."""
+"""Scale-free evaluation: the lambda path, the Riesz solver, its residuals,
+the classical centers and the side-length constructions at triangle sizes
+far from 1 and offsets far beyond the diameter (warnings are errors, see
+pyproject.toml)."""
 
 import math
 
@@ -10,18 +11,24 @@ from tripotential import (
     Point2,
     Triangle,
     TripotentialError,
+    cartesian_to_trilinear,
     center_function_trilinears,
     centroid,
+    circumcenter,
+    diameter,
     electrostatic_center,
+    incenter,
     inversion_first_moment,
     kimberling_search_value,
     lambda_curve,
+    orthocenter,
     potential_arc,
     rp_center,
     side_lengths,
     stationarity_residual,
     thomson_residual,
     triangle_from_sides,
+    trilinear_to_cartesian,
 )
 from tripotential.geometry import area, heron_area
 
@@ -137,3 +144,54 @@ def test_electrostatic_center_is_scale_free(k):
     assert kimberling_search_value(sides) / s == pytest.approx(
         kimberling_search_value(unit_sides), rel=1e-12
     )
+
+
+def _moved(tri, shift, scale=1.0):
+    """(near, moved): tri scaled, moved by (shift, shift) with the rounding
+    that brings, and moved back exactly, so that moved = near + shift."""
+    moved = Triangle(*(Point2(v.x * scale + shift, v.y * scale + shift) for v in tri.vertices))
+    near = Triangle(*(Point2(v.x - shift, v.y - shift) for v in moved.vertices))
+    return near, moved
+
+
+@pytest.mark.parametrize("shift", (1e7, 1e9))
+def test_rp_center_is_translation_free(shift):
+    # the iteration runs in the frame; in absolute coordinates each
+    # iterate was rounded to ulp(shift) and Newton stalled above tol
+    near, moved = _moved(triangle_from_sides(4.0, 5.0, 6.0), shift)
+    tol = math.ulp(shift) + 1e-12 * diameter(near)
+    for p, iterations in ((-4.0, 5), (-1.0, 4), (5.0, 4)):
+        ref, rep = rp_center(near, p), rp_center(moved, p)
+        assert rep.iterations == ref.iterations == iterations, p
+        assert abs(rep.point.x - shift - ref.point.x) <= tol, p
+        assert abs(rep.point.y - shift - ref.point.y) <= tol, p
+
+
+def test_rp_center_matches_the_center_at_huge_scale_far_out():
+    s = math.ldexp(1.0, 493)
+    _, tri = _moved(triangle_from_sides(4.0, 5.0, 6.0), 6e12 * s, s)
+    point, _ = electrostatic_center(tri)
+    assert rp_center(tri, -1.0).point.distance_to(point) <= 1e-8 * diameter(tri)
+
+
+def test_classical_centers_are_translation_free():
+    # 4,5,6 scaled by 1e-3, 1e12 out: absolute-coordinate formulas put the
+    # circumcenter 8e12 diameters off
+    near, moved = _moved(triangle_from_sides(4e-3, 5e-3, 6e-3), 1e12)
+    tol = math.ulp(1e12) + 1e-12 * diameter(near)
+    for f in (incenter, circumcenter, orthocenter):
+        ref, got = f(near), f(moved)
+        assert abs(got.x - 1e12 - ref.x) <= tol, f.__name__
+        assert abs(got.y - 1e12 - ref.y) <= tol, f.__name__
+
+
+@pytest.mark.parametrize("k", EXPONENTS)
+def test_classical_centers_are_scale_free(k):
+    s, tri = 10.0**k, _scaled(k)
+
+    def roundtrip(t):
+        return trilinear_to_cartesian(t, cartesian_to_trilinear(t, centroid(t)))
+
+    for f in (incenter, circumcenter, orthocenter, roundtrip):
+        point, ref = f(tri), f(UNIT)
+        assert math.hypot(point.x / s - ref.x, point.y / s - ref.y) < 1e-14, k
