@@ -34,13 +34,13 @@ from dataclasses import dataclass
 from .errors import BracketFailure, NegativeRadicand, TripotentialError
 from .estimates import initial_guess
 from .geometry import (
+    BOUNDARY_BAND_RTOL,
     Point2,
-    PointLocation,
     SideLengths,
     Triangle,
     Trilinears,
+    _cross,
     cevian_angles,
-    classify_point,
     heron_area,
     side_lengths,
     vertex_distances,
@@ -104,6 +104,8 @@ class LambdaSolution:
     iterations : int
         Residual evaluations spent, Newton steps and bracketing fallbacks
         alike (each evaluation also yields the slope).
+    terms : tuple of float
+        The terms T_a, T_b, T_c at the root; T_a / a is the center function.
     """
 
     lam: float
@@ -115,6 +117,7 @@ class LambdaSolution:
     r_c: float
     residual: float
     iterations: int
+    terms: tuple[float, float, float]
 
 
 def _lhs_terms(
@@ -181,6 +184,9 @@ _MAX_EVALS = 300
 
 def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     """Find the unique positive root of the lambda equation.
+
+    Always solves; the center, its trilinears and the search value share
+    one solve per side lengths and tol instead (``_root``).
 
     Runs Newton's method on log LHS(lambda) - log RHS from the shape-based
     initial guess, with the analytic slope from the same pass that
@@ -256,7 +262,16 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
         r_c=0.5 * (inv_t + ga + gb - gc),
         residual=abs(f),
         iterations=evals,
+        terms=terms,
     )
+
+
+def _root(sides: SideLengths, tol: float) -> LambdaSolution:
+    """``solve_lambda(sides, tol)``, kept on ``sides`` unless it raises."""
+    sol = sides._roots.get(tol)
+    if sol is None:
+        sol = sides._roots[tol] = solve_lambda(sides, tol)
+    return sol
 
 
 def point_from_coth_parts(
@@ -312,13 +327,13 @@ def electrostatic_center(
 ) -> tuple[Point2, LambdaSolution]:
     """The unique interior point where the field vanishes (max of V).
 
-    Solves the lambda equation for the triangle's sides, reconstructs the
-    vertex distances, and intersects the distance circles. The returned
-    point is verified to be interior and consistent with the solved
+    Intersects the vertex-distance circles of the sides' lambda root (one
+    solve per sides and tol, see ``_root``) in the local frame, and checks
+    there that the point is interior and consistent with the solved
     distances (the system is overdetermined but consistent).
     """
     sides = side_lengths(tri)
-    sol = solve_lambda(sides, tol)
+    sol = _root(sides, tol)
     x, y = point_from_coth_parts(tri, *coth_parts(sides, sol.lam))
     e, bx, by, cx, cy = tri._frame
     k = math.ldexp(1.0, -e)
@@ -331,10 +346,11 @@ def electrostatic_center(
         raise TripotentialError(
             f"vertex distances disagree with the lambda solution by {mismatch / k}"
         )
-    p = tri._from_frame(x, y)
-    if classify_point(tri, p) is not PointLocation.INTERIOR:
-        raise TripotentialError(f"computed center {p} is not interior")
-    return p, sol
+    # classify_point's test on the frame point (the world point is rounded)
+    if not min(_cross(x, y, 0.0, 0.0, bx, by), _cross(x, y, bx, by, cx, cy),
+               _cross(x, y, cx, cy, 0.0, 0.0)) > BOUNDARY_BAND_RTOL * (bx * cy - by * cx):
+        raise TripotentialError(f"computed center {tri._from_frame(x, y)} is not interior")
+    return tri._from_frame(x, y), sol
 
 
 def stationarity_spreads(tri: Triangle, p: Point2) -> tuple[float, float]:
@@ -387,15 +403,11 @@ def center_function_trilinears(sides: SideLengths, tol: float = 1e-12) -> Trilin
 
     evaluated with the one lambda root L shared by all three cyclic
     permutations (the root is symmetric in the sides). f is homogeneous
-    of order 1 and symmetric in its last two arguments.
+    of order 1 and symmetric in its last two arguments. f(a, b, c) is the
+    equation's term T_a over a, from the root that ``electrostatic_center``
+    and ``kimberling_search_value`` share (one solve per sides and tol).
     """
-    return _trilinears_at(sides, solve_lambda(sides, tol).lam)
-
-
-def _trilinears_at(sides: SideLengths, lam: float) -> Trilinears:
-    """Center-function trilinears at a solved root: f(a, b, c) is the
-    equation's term T_a divided by a."""
-    t_a, t_b, t_c = _lhs_terms(sides, lam)[0]
+    t_a, t_b, t_c = _root(sides, tol).terms
     return Trilinears(t_a / sides.a, t_b / sides.b, t_c / sides.c)
 
 

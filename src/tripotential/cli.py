@@ -40,7 +40,7 @@ _NEGATIVE_VALUE = re.compile(r"^-\d[\d.,eE+-]*$")
 
 from . import estimates, riesz
 from .center import (
-    _trilinears_at,
+    center_function_trilinears,
     electrostatic_center,
     kimberling_search_value,
     solve_lambda,
@@ -188,7 +188,7 @@ def _cmd_center(args) -> int:
     tol = _check_tol(args.tol)
     tri = _triangle_from_args(args)
     point, sol = electrostatic_center(tri, tol)
-    tau = _trilinears_at(side_lengths(tri), sol.lam)
+    tau = center_function_trilinears(side_lengths(tri), tol)
     spread_side, spread_tan = stationarity_spreads(tri, point)
     field_norm = field_closed(tri, point).norm()
     report = {
@@ -430,7 +430,7 @@ def _verify_checks(tol_override: float | None) -> list[dict]:
         )
 
     tri = Triangle(*(Point2(x, y) for x, y in _REF_TRIANGLE))
-    sol = solve_lambda(side_lengths(tri), 1e-13)
+    point, sol = electrostatic_center(tri, 1e-13)
     record(
         "lambda_golden",
         sol.lam,
@@ -439,7 +439,6 @@ def _verify_checks(tol_override: float | None) -> list[dict]:
         tol(1e-12),
     )
 
-    point, _ = electrostatic_center(tri, 1e-13)
     err = max(abs(point.x - _REF_CENTER[0]), abs(point.y - _REF_CENTER[1]))
     record("center_golden", [point.x, point.y], list(_REF_CENTER), err, tol(1e-10))
 

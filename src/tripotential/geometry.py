@@ -182,6 +182,10 @@ class SideLengths:
             )
         object.__setattr__(self, "s", 0.5 * (a + b + c))
 
+    @functools.cached_property
+    def _roots(self) -> dict:  # lambda solutions by tol, see center._root
+        return {}
+
 
 @dataclass(frozen=True)
 class Trilinears:

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+import tripotential.center as center
 from tripotential import (
+    BracketFailure,
     Point2,
     SideLengths,
     brute_force_max,
@@ -26,6 +28,8 @@ from tripotential import (
     trilinear_to_cartesian,
     vertex_distances,
     PointLocation,
+    Triangle,
+    TripotentialError,
 )
 from tripotential.center import coth_parts, point_from_coth_parts
 from tripotential.geometry import heron_area
@@ -300,3 +304,72 @@ def test_point_from_coth_parts_consistency(golden_triangle):
 def test_solve_lambda_tolerance_validation():
     with pytest.raises(ValueError):
         solve_lambda(SideLengths(3, 4, 5), tol=1e-15)
+
+
+def _count_solves(monkeypatch):
+    """The tolerances of every center.solve_lambda call from now on."""
+    calls = []
+    solve = center.solve_lambda
+
+    def counted(sides, tol=1e-12):
+        calls.append(tol)
+        return solve(sides, tol)
+
+    monkeypatch.setattr(center, "solve_lambda", counted)
+    return calls
+
+
+def test_center_trilinears_and_search_value_share_one_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    tri = random_triangle(make_rng(310))
+    sides = side_lengths(tri)
+    fresh = SideLengths(sides.a, sides.b, sides.c)
+    shown = (repr(sides), hash(sides))
+    point, sol = electrostatic_center(tri, 1e-13)
+    tau = center_function_trilinears(sides, 1e-13)
+    d_a = kimberling_search_value(sides, 1e-13)
+    assert calls == [1e-13]
+    # bit-equal to the same calls without the memo
+    assert (point, sol) == electrostatic_center(Triangle(*tri.vertices), 1e-13)
+    assert sol == solve_lambda(fresh, 1e-13)
+    assert tau == center_function_trilinears(fresh, 1e-13)
+    assert d_a == kimberling_search_value(SideLengths(sides.a, sides.b, sides.c), 1e-13)
+    # the memo is no part of the value
+    assert (repr(sides), hash(sides)) == shown
+    assert sides == fresh and hash(sides) == hash(fresh)
+
+
+def test_each_tolerance_solves_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    sides = SideLengths(4.0, 5.0, 6.0)
+    for tol in (1e-12, 1e-13, 1e-12, 1e-13):
+        center_function_trilinears(sides, tol)
+        kimberling_search_value(sides, tol)
+    assert calls == [1e-12, 1e-13]
+    with pytest.raises(ValueError):
+        center_function_trilinears(sides, 1e-15)
+    with pytest.raises(ValueError):
+        electrostatic_center(triangle_from_sides(4.0, 5.0, 6.0), 1e-15)
+
+
+def test_a_failed_solve_caches_nothing(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    sides = SideLengths(3.0, 4.0, 5.0)
+    with monkeypatch.context() as m:
+        m.setattr(center, "initial_guess", lambda sides: 1e300)
+        for consumer in (center_function_trilinears, kimberling_search_value):
+            with pytest.raises(BracketFailure):
+                consumer(sides)
+    assert len(calls) == 2
+    tau = center_function_trilinears(sides)
+    kimberling_search_value(sides)
+    assert len(calls) == 3
+    assert tau == center_function_trilinears(SideLengths(3.0, 4.0, 5.0))
+
+
+def test_center_in_the_boundary_band_is_refused(monkeypatch, golden_triangle):
+    # the smallest barycentric coordinate of a point is at most 1/3, so a
+    # band of half the area refuses every center
+    monkeypatch.setattr(center, "BOUNDARY_BAND_RTOL", 0.5)
+    with pytest.raises(TripotentialError, match="not interior"):
+        electrostatic_center(golden_triangle)

@@ -14,10 +14,15 @@ from tripotential import (
     SideLengths,
     Triangle,
     TripotentialError,
+    center_function_trilinears,
     diameter,
     electrostatic_center,
+    field_closed,
     lambda_residual,
+    side_lengths,
     solve_lambda,
+    stationarity_spreads,
+    triangle_from_sides,
 )
 
 from conftest import make_rng
@@ -207,6 +212,29 @@ def test_iterations_count_residual_evaluations(monkeypatch):
     for sides in SLIVERS:
         calls.clear()
         assert solve_lambda(sides).iterations == len(calls)
+
+
+def test_center_report_evaluates_the_equation_in_one_solve(monkeypatch):
+    # The library calls behind the CLI's center report: the trilinears
+    # reuse the root and the terms of the center's solve.
+    calls = []
+    lhs_terms = center._lhs_terms
+
+    def counted(sides, lam):
+        calls.append(lam)
+        return lhs_terms(sides, lam)
+
+    monkeypatch.setattr(center, "_lhs_terms", counted)
+    shapes = survey_sides(405, 25)[:20]
+    assert len(shapes) == 20
+    for sides in shapes:
+        calls.clear()
+        tri = triangle_from_sides(sides.a, sides.b, sides.c)
+        point, sol = electrostatic_center(tri)
+        center_function_trilinears(side_lengths(tri))
+        stationarity_spreads(tri, point)
+        field_closed(tri, point)
+        assert len(calls) == sol.iterations
 
 
 @pytest.mark.parametrize("guess", [1e300, 1e-300])

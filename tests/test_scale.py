@@ -174,6 +174,23 @@ def test_rp_center_matches_the_center_at_huge_scale_far_out():
     assert rp_center(tri, -1.0).point.distance_to(point) <= 1e-8 * diameter(tri)
 
 
+@pytest.mark.parametrize("height, x, k, shift", [
+    (1e-6, 0.3, -300, 1e10), (1e-5, 0.1, -300, 1e11),
+    (1e-5, 0.5, 300, 1e11), (1e-4, 0.5, 300, 1e12),
+])
+def test_electrostatic_center_of_a_far_sliver(height, x, k, shift):
+    # rounded to ulp(shift), the world point of these slivers' centers
+    # falls in the boundary band; interiority is tested on the frame point
+    s = math.ldexp(1.0, k)
+    base = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(x, height))
+    near, moved = _moved(base, shift * s, s)
+    ref, _ = electrostatic_center(near)
+    point, _ = electrostatic_center(moved)
+    tol = 2.0 * math.ulp(shift * s) + 1e-10 * diameter(near)
+    assert abs(point.x - shift * s - ref.x) <= tol
+    assert abs(point.y - shift * s - ref.y) <= tol
+
+
 def test_classical_centers_are_translation_free():
     # 4,5,6 scaled by 1e-3, 1e12 out: absolute-coordinate formulas put the
     # circumcenter 8e12 diameters off
