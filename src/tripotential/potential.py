@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +49,6 @@ from .quadrature import _NODES, _WK, integrate_adaptive
 
 __all__ = [
     "FieldVector",
-    "QuadratureConfig",
     "potential_closed",
     "potential_quadrature",
     "field_closed",
@@ -76,20 +76,31 @@ class FieldVector:
         return math.hypot(self.ex, self.ey)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Controls for the adaptive angular quadrature."""
+# potential_quadrature's relative target: the closed forms are checked
+# against it to 1e-9 and better.
+_QUADRATURE_RTOL = 1e-10
 
-    target_rel_tol: float = 1e-10
-    max_subdivisions: int = 20
 
-    def __post_init__(self):
-        if not 0.0 < self.target_rel_tol <= 1e-2:
-            raise ValueError(
-                f"target_rel_tol must be in (0, 1e-2], got {self.target_rel_tol}"
-            )
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+def _cones(tri: Triangle, x, y):
+    """Per edge, the cone it spans at the point (x, y), floats or numpy
+    arrays: (phi_start, delta, cr, ex, ey).
+
+    The cone spans polar angles [phi_start, phi_start + delta], delta
+    signed by orientation; cr is u x w with u, w from the point to the
+    edge's endpoints, and (ex, ey) the edge vector, which give the ray
+    length along phi as ``_ray_length(phi, cr, ex, ey)``.
+    """
+    for v1, v2 in tri.edges():
+        ux, uy = v1.x - x, v1.y - y
+        wx, wy = v2.x - x, v2.y - y
+        cr = _cross(x, y, v1.x, v1.y, v2.x, v2.y)
+        delta = np.arctan2(cr, ux * wx + uy * wy)
+        yield np.arctan2(uy, ux), delta, cr, v2.x - v1.x, v2.y - v1.y
+
+
+def _ray_length(phis, cr, ex, ey):
+    """Distance from the cone's apex to its edge's line along angle phis."""
+    return cr / (np.cos(phis) * ey - np.sin(phis) * ex)
 
 
 def cone_windows(tri: Triangle, p: Point2):
@@ -99,27 +110,14 @@ def cone_windows(tri: Triangle, p: Point2):
     the cone spans polar angles [phi_start, phi_start + delta] (delta is
     signed by orientation) and R(phi) is the vectorized distance from p to
     the edge's line along direction phi. Cones that collapse (p at a
-    vertex or on an edge's line) are omitted; their integral contribution
-    vanishes in the limit.
+    vertex or on an edge's line, |sin delta| <= 1e-15) are omitted; their
+    integral contribution vanishes in the limit.
     """
-    windows = []
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - p.x, v1.y - p.y
-        wx, wy = v2.x - p.x, v2.y - p.y
-        cr = _cross(p.x, p.y, v1.x, v1.y, v2.x, v2.y)
-        ru = math.hypot(ux, uy)
-        rw = math.hypot(wx, wy)
-        if ru == 0.0 or rw == 0.0 or abs(cr) <= 1e-15 * ru * rw:
-            continue
-        delta = math.atan2(cr, ux * wx + uy * wy)
-        phi_start = math.atan2(uy, ux)
-        ex, ey = v2.x - v1.x, v2.y - v1.y
-
-        def ray_length(phis, ex=ex, ey=ey, cu=cr):
-            return cu / (np.cos(phis) * ey - np.sin(phis) * ex)
-
-        windows.append((phi_start, delta, ray_length))
-    return windows
+    return [
+        (phi_start, delta, partial(_ray_length, cr=cr, ex=ex, ey=ey))
+        for phi_start, delta, cr, ex, ey in _cones(tri, p.x, p.y)
+        if abs(math.sin(delta)) > 1e-15
+    ]
 
 
 def _edge_sums(tri: Triangle, p: Point2):
@@ -169,15 +167,14 @@ def potential_closed(tri: Triangle, p: Point2) -> float:
     return _edge_sums(tri, p)[0]
 
 
-def potential_quadrature(
-    tri: Triangle, p: Point2, cfg: QuadratureConfig | None = None
-) -> float:
+def potential_quadrature(tri: Triangle, p: Point2) -> float:
     """Potential at p by adaptive angular quadrature (the oracle path).
 
     The radial integral of (1/r) * r dr is exact, so only the 1D integral
     of R(phi) over each edge cone remains; those are integrated
-    adaptively. Handles interior, boundary, and exterior points (the cone
-    of an edge containing p degenerates and is skipped).
+    adaptively to 1e-10 relative. Handles interior, boundary, and
+    exterior points (the cone of an edge containing p degenerates and is
+    skipped).
 
     Raises
     ------
@@ -185,37 +182,26 @@ def potential_quadrature(
         If the subdivision budget is exhausted before the target relative
         tolerance; the exception carries the achieved tolerance.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     windows = cone_windows(tri, p)
     if not windows:
         return 0.0
     # First-pass magnitudes set the absolute error budget per window.
-    coarse = 0.0
-    for phi_start, delta, ray in windows:
-        est = abs(delta) * float(ray(np.array([phi_start + 0.5 * delta]))[0])
-        coarse += abs(est)
-    abs_tol = cfg.target_rel_tol * coarse / (2.0 * len(windows))
+    coarse = sum(abs(delta * ray(phi + 0.5 * delta)) for phi, delta, ray in windows)
+    abs_tol = _QUADRATURE_RTOL * coarse / (2.0 * len(windows))
 
     total = 0.0
     err = 0.0
     for phi_start, delta, ray in windows:
-        res = integrate_adaptive(
-            ray,
-            phi_start,
-            phi_start + delta,
-            abs_tol=abs_tol,
-            max_depth=cfg.max_subdivisions,
-        )
-        total += float(res.value.real if np.iscomplexobj(res.value) else res.value)
+        res = integrate_adaptive(ray, phi_start, phi_start + delta, abs_tol=abs_tol)
+        total += float(res.value)
         err += res.error
     achieved = err / abs(total) if total != 0.0 else err
-    if achieved > cfg.target_rel_tol:
+    if achieved > _QUADRATURE_RTOL:
         raise ToleranceNotReached(
             f"angular quadrature reached {achieved:.3e} relative "
-            f"(target {cfg.target_rel_tol:.3e})",
+            f"(target {_QUADRATURE_RTOL:.3e})",
             achieved=achieved,
-            target=cfg.target_rel_tol,
+            target=_QUADRATURE_RTOL,
         )
     return total
 
@@ -312,79 +298,48 @@ def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
     """
     offsets = (np.arange(panels) + 0.5) / panels
     values = np.zeros_like(px)
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - px, v1.y - py
-        wx, wy = v2.x - px, v2.y - py
-        cr = _cross(px, py, v1.x, v1.y, v2.x, v2.y)
-        delta = np.arctan2(cr, ux * wx + uy * wy)
-        phi0 = np.arctan2(uy, ux)
-        ex, ey = v2.x - v1.x, v2.y - v1.y
+    for phi0, delta, cr, ex, ey in _cones(tri, px, py):
         phi = (
             phi0[:, None, None]
             + delta[:, None, None]
             * (offsets[None, :, None] + _NODES[None, None, :] / (2.0 * panels))
         )
-        ray = cr[:, None, None] / (np.cos(phi) * ey - np.sin(phi) * ex)
+        ray = _ray_length(phi, cr[:, None, None], ex, ey)
         values += (delta / (2.0 * panels)) * (ray @ _WK).sum(axis=1)
     return values
 
 
 def _interior_lattice(tri: Triangle, n: int):
-    """Strictly interior barycentric lattice points, ~n^2/2 of them."""
+    """(x, y) arrays of the strictly interior barycentric lattice points,
+    ~n^2/2 of them, row by row."""
+    i, j = np.mgrid[1:n, 1:n].reshape(2, -1)
+    i, j = i[i + j < n], j[i + j < n]
+    k = n - i - j
     A, B, C = tri.vertices
-    points = []
-    for i in range(1, n):
-        for j in range(1, n - i):
-            k = n - i - j
-            points.append(
-                Point2(
-                    (i * A.x + j * B.x + k * C.x) / n,
-                    (i * A.y + j * B.y + k * C.y) / n,
-                )
-            )
-    return points
+    return (i * A.x + j * B.x + k * C.x) / n, (i * A.y + j * B.y + k * C.y) / n
 
 
-def brute_force_max(
-    tri: Triangle,
-    grid_n: int = 64,
-    refine_iters: int = 6,
-    *,
-    evaluator: str = "closed",
-) -> Point2:
+def brute_force_max(tri: Triangle, grid_n: int = 64, refine_iters: int = 6) -> Point2:
     """Locate the potential maximum by grid search plus local refinement.
 
     Scans a barycentric lattice of about grid_n^2 / 2 strictly interior
     points, then refines around the best point with a 9x9 local grid whose
     extent shrinks by a factor of 4 per round. Fully deterministic; ties
     resolve to the lowest grid index. The result is always interior.
-
-    Parameters
-    ----------
-    evaluator : {"closed", "quadrature"}
-        Which potential evaluation backs the scan. The quadrature mode
-        uses the fixed-order composite polar rule (vectorized over grid
-        points), keeping this maximizer independent of the closed forms
-        it is used to check.
+    Every scan runs on the fixed-order composite polar rule (vectorized
+    over grid points), which keeps this maximizer independent of the
+    closed forms it is used to check.
     """
     if grid_n < 16:
         raise ValueError(f"grid_n must be >= 16, got {grid_n}")
     if refine_iters < 0:
         raise ValueError("refine_iters must be >= 0")
-    if evaluator not in ("closed", "quadrature"):
-        raise ValueError(f"unknown evaluator {evaluator!r}")
     diam = diameter(tri)
     margin = 2.0 * BOUNDARY_EXCLUSION_RTOL * diam
 
-    def evaluate(px, py, panels):
-        if evaluator == "quadrature":
-            return _potential_quadrature_batch(tri, px, py, panels)
-        return potential_field_batch(tri, px, py).v
-
-    lattice = _interior_lattice(tri, grid_n)
-    px = np.array([q.x for q in lattice])
-    py = np.array([q.y for q in lattice])
-    best = int(np.argmax(evaluate(px, py, 4)))  # argmax takes the first max
+    px, py = _interior_lattice(tri, grid_n)
+    # argmax takes the first max
+    best = int(np.argmax(_potential_quadrature_batch(tri, px, py, 4)))
     best_x, best_y = float(px[best]), float(py[best])
 
     extent = diam / grid_n
@@ -399,7 +354,7 @@ def brute_force_max(
         px = np.concatenate(([best_x], qx[keep]))
         py = np.concatenate(([best_y], qy[keep]))
         panels = 4 if extent > 1e-3 * diam else 8
-        best = int(np.argmax(evaluate(px, py, panels)))
+        best = int(np.argmax(_potential_quadrature_batch(tri, px, py, panels)))
         best_x, best_y = float(px[best]), float(py[best])
         extent /= 4.0
     return Point2(best_x, best_y)

@@ -53,7 +53,6 @@ from .geometry import (
     PointLocation,
     Triangle,
     _clears_boundary,
-    _cross,
     _side_distances,
     centroid,
     classify_point,
@@ -61,7 +60,7 @@ from .geometry import (
     inradius,
     side_lengths,
 )
-from .potential import BOUNDARY_EXCLUSION_RTOL, FieldVector, cone_windows
+from .potential import BOUNDARY_EXCLUSION_RTOL, FieldVector, _cones, cone_windows
 from .quadrature import _NODES, _WK, _gk15_panels, integrate_adaptive
 
 __all__ = [
@@ -87,11 +86,12 @@ _PANEL_HALF_WIDTH = 0.25
 _PANEL_HALF_WIDTH_P = 1.5
 # Panels per edge above which the edge rule refuses the exponent.
 _MAX_PANELS = 2**16
+# Newton iterations before rp_center raises NoConvergence.
+_MAX_NEWTON_ITERATIONS = 200
 
-# The angular oracle's absolute tolerance per cone window and depth, and
-# the inversion check's composite Simpson panels per cone window.
+# The angular oracle's absolute tolerance per cone window, and the
+# inversion check's composite Simpson panels per cone window.
 _ORACLE_ABS_TOL = 1e-12
-_ORACLE_MAX_DEPTH = 20
 _INVERSION_PANELS = 4096
 
 
@@ -163,8 +163,7 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
             return np.abs(kern(ray(phis) / r0))
 
         mag = integrate_adaptive(
-            f_abs, phi_start, phi_start + delta, abs_tol=0.0, rel_tol=1e-3,
-            max_depth=_ORACLE_MAX_DEPTH,
+            f_abs, phi_start, phi_start + delta, abs_tol=0.0, rel_tol=1e-3
         )
         window_mag = abs(mag.value)
         # For exponents far from -1 the normalized kernel still integrates
@@ -175,10 +174,7 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
         def f(phis, ray=ray):
             return kern(ray(phis) / r0) * np.exp(1j * phis)
 
-        res = integrate_adaptive(
-            f, phi_start, phi_start + delta, abs_tol=window_tol,
-            max_depth=_ORACLE_MAX_DEPTH,
-        )
+        res = integrate_adaptive(f, phi_start, phi_start + delta, abs_tol=window_tol)
         if not res.converged:
             raise ToleranceNotReached(
                 f"stationarity window quadrature reached {res.error:.3e} "
@@ -297,7 +293,6 @@ def rp_center(
     tol: float = 1e-10,
     *,
     x0: Point2 | None = None,
-    max_iterations: int = 200,
 ) -> RpSolveReport:
     """Solve for the interior extreme point of V_p.
 
@@ -318,7 +313,7 @@ def rp_center(
     NotInterior
         x0 lacks the interior margin.
     NoConvergence
-        After max_iterations; carries the best iterate and its residual.
+        After 200 iterations; carries the best iterate and its residual.
     ToleranceNotReached
         The panel rule's error estimate exceeds min(1e-12, 1e-3 * tol)
         times max(1, integral of |kernel|), or is nan (kernel overflow).
@@ -339,7 +334,7 @@ def rp_center(
         raise NotInterior(f"starting point {x0 or centroid(tri)} lacks interior margin")
 
     best_x, best_norm = x, math.inf
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
         val, mag, err, jac = _edge_rule(local, x, p, r0)
         budget = quad_tol * max(1.0, mag)
         if not err <= budget:  # also catches a nan estimate
@@ -366,11 +361,11 @@ def rp_center(
             cand, cand_r0 = x, r0  # fully damped; no admissible direction left
         x, r0 = cand, cand_r0
     raise NoConvergence(
-        f"no convergence for p={p} after {max_iterations} iterations "
+        f"no convergence for p={p} after {_MAX_NEWTON_ITERATIONS} iterations "
         f"(best residual {best_norm:.3e})",
         best_point=tri._from_frame(best_x.x, best_x.y),
         residual_norm=best_norm,
-        iterations=max_iterations,
+        iterations=_MAX_NEWTON_ITERATIONS,
     )
 
 
@@ -397,14 +392,9 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     """
     if classify_point(tri, p_pt) is not PointLocation.INTERIOR:
         raise NotInterior(f"{p_pt} is not strictly inside the triangle")
-    ratios = []
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - p_pt.x, v1.y - p_pt.y
-        wx, wy = v2.x - p_pt.x, v2.y - p_pt.y
-        cr = _cross(p_pt.x, p_pt.y, v1.x, v1.y, v2.x, v2.y)
-        angle = math.atan2(abs(cr), ux * wx + uy * wy)
-        ratios.append(angle / (0.5 * abs(cr)))
-    return max(ratios) - min(ratios)
+    cones = _cones(tri, p_pt.x, p_pt.y)
+    ratios = [abs(delta) / (0.5 * abs(cr)) for _, delta, cr, _, _ in cones]
+    return float(max(ratios) - min(ratios))
 
 
 def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:

@@ -138,9 +138,7 @@ def test_criterion_07_brute_force_oracle_agreement():
         start = time.perf_counter()
         for _ in range(20):
             tri = random_triangle(rng)
-            approx = brute_force_max(
-                tri, grid_n=64, refine_iters=6, evaluator="quadrature"
-            )
+            approx = brute_force_max(tri, grid_n=64, refine_iters=6)
             point, _ = electrostatic_center(tri)
             assert approx.distance_to(point) < 1e-4 * diameter(tri)
         assert time.perf_counter() - start < 10.0

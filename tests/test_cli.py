@@ -428,9 +428,9 @@ def test_arc_exits_2_when_every_point_fails(monkeypatch, capsys):
     import tripotential.riesz as rz
     from tripotential import NoConvergence
 
-    def always_fails(tri, p, tol=1e-10, *, x0=None, max_iterations=200):
+    def always_fails(tri, p, tol=1e-10, *, x0=None):
         raise NoConvergence("forced", best_point=x0, residual_norm=1.0,
-                            iterations=max_iterations)
+                            iterations=rz._MAX_NEWTON_ITERATIONS)
 
     monkeypatch.setattr(rz, "rp_center", always_fails)
     code, out = run_cli(

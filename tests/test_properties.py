@@ -3,12 +3,14 @@ triangle's local frame: at any size from 2^-498 to 2^498, offset up to
 1e12 diameters, smallest angle down to 1e-6, rotation and vertex order,
 each call returns finite values or raises a TripotentialError. Scaling
 the triangle by 2^k scales every length it returns by 2^k, and moving it
-by an offset moves every point it returns by that offset.
+by an offset moves every point it returns by that offset. The oracle
+layer keeps the same contract at the centroid, without the scaling.
 
 Vertices are built from Python floats: numpy scalars would turn an
 overflow into a RuntimeWarning, which pytest makes an error."""
 
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,20 +18,31 @@ from hypothesis import strategies as st
 from tripotential import (
     DegenerateTriangle,
     Point2,
+    PointLocation,
     Triangle,
     TripotentialError,
     cartesian_to_trilinear,
     centroid,
+    cevian_angles,
     circumcenter,
+    classify_point,
     diameter,
     electrostatic_center,
+    field_closed,
+    illuminating_spread,
     incenter,
+    inversion_first_moment,
     lambda_curve,
     orthocenter,
+    potential_closed,
+    potential_quadrature,
     rp_center,
+    stationarity_residual,
+    stationarity_spreads,
     thomson_residual,
     trilinear_to_cartesian,
 )
+from tripotential import quadrature
 
 # Relative accuracy compared, lengths in units of the diameter. Both
 # transformations are exact on the frame, so every call but the lambda
@@ -175,3 +188,64 @@ def test_frame_functions_keep_the_contract_and_are_equivariant(
     )
     _agree(got, scaled, lambda i, v: math.ldexp(v, -k),
            lambda rtol, v: rtol * diam + math.ulp(math.ldexp(v, -k)))
+
+
+def _oracle_values(tri, g):
+    """Per oracle-layer call at the point g, its values as a list of
+    floats, checked finite, or None for a typed error."""
+    calls = {
+        "potential_closed": lambda: potential_closed(tri, g),
+        "field_closed": lambda: field_closed(tri, g),
+        "potential_quadrature": lambda: potential_quadrature(tri, g),
+        "illuminating_spread": lambda: illuminating_spread(tri, g),
+        "stationarity_residual(-4)": lambda: stationarity_residual(tri, g, -4.0),
+        "stationarity_residual(5)": lambda: stationarity_residual(tri, g, 5.0),
+        "inversion_first_moment": lambda: inversion_first_moment(tri, g),
+        "cevian_angles": lambda: cevian_angles(tri, g),
+        "stationarity_spreads": lambda: stationarity_spreads(tri, g),
+    }
+    out = {}
+    for name, thunk in calls.items():
+        try:
+            value = thunk()
+        except TripotentialError:
+            out[name] = None
+            continue
+        if isinstance(value, float):
+            value = [value]
+        elif not isinstance(value, tuple):
+            value = vars(value).values()  # FieldVector, CevianAngles
+        out[name] = list(value)
+        assert all(math.isfinite(v) for v in out[name]), (name, out[name])
+    return out
+
+
+@settings(max_examples=30)
+@given(
+    angle_q=QUANTILE, split=QUANTILE, turn=QUANTILE, offset_q=QUANTILE,
+    direction=QUANTILE, order=st.permutations(range(3)),
+)
+def test_oracle_layer_keeps_the_contract(
+    angle_q, split, turn, offset_q, direction, order
+):
+    """At the centroid, near the origin and moved off it, every oracle and
+    point test returns finite values or raises a TripotentialError, and
+    the angular quadrature, where it returns, agrees with the closed form
+    to its 1e-10 relative target.
+
+    On slivers the adaptive oracles can spend their whole bisection
+    budget, 1.5 s a call at the default 20,000 intervals. A budget of 500
+    keeps the suite fast; a spent budget raises ToleranceNotReached, which
+    the contract allows."""
+    with mock.patch.object(quadrature, "_MAX_INTERVALS", 500):
+        for vertices in _poses(angle_q, split, turn, offset_q, direction, order)[:2]:
+            try:
+                tri = Triangle(*(Point2(x, y) for x, y in vertices))
+            except DegenerateTriangle:
+                return
+            g = centroid(tri)
+            assert isinstance(classify_point(tri, g), PointLocation)
+            values = _oracle_values(tri, g)
+            closed, quad = values["potential_closed"], values["potential_quadrature"]
+            if closed is not None and quad is not None:
+                assert abs(quad[0] - closed[0]) <= 1e-10 * abs(closed[0])

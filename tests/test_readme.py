@@ -32,3 +32,20 @@ def test_readme_quickstart_prints_its_comments(capsys):
                 assert abs(value) <= 100.0 * float(note[1:]), out
             else:
                 assert value == pytest.approx(float(note), rel=1e-12), out
+
+
+def test_everything_is_reexported_from_the_package():
+    """README: every module's public names, and every exception class,
+    are re-exported from ``tripotential``, each once."""
+    import tripotential
+    from tripotential import center, errors, estimates, geometry, potential, riesz
+
+    modules = (geometry, potential, center, riesz, estimates)
+    names = [name for module in modules for name in module.__all__]
+    names += [
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    ]
+    assert sorted(tripotential.__all__) == sorted(names)
+    assert len(set(names)) == len(names)
+    assert all(hasattr(tripotential, name) for name in names)

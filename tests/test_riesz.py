@@ -157,10 +157,11 @@ def test_arc_requires_sorted_input():
         potential_arc(tri, [1.0, -1.0])
 
 
-def test_rp_center_no_convergence_carries_best_iterate():
+def test_rp_center_no_convergence_carries_best_iterate(monkeypatch):
     tri = triangle_from_sides(4, 5, 6)
+    monkeypatch.setattr(rz, "_MAX_NEWTON_ITERATIONS", 1)
     with pytest.raises(NoConvergence) as info:
-        rp_center(tri, -1.0, max_iterations=1)
+        rp_center(tri, -1.0)
     assert info.value.best_point is not None
     assert info.value.iterations == 1
     assert math.isfinite(info.value.residual_norm)
@@ -172,13 +173,13 @@ def test_arc_records_failures_without_aborting(monkeypatch):
     tri = triangle_from_sides(4, 5, 6)
     real = rz.rp_center
 
-    def flaky(tri, p, tol=1e-10, *, x0=None, max_iterations=200):
+    def flaky(tri, p, tol=1e-10, *, x0=None):
         if p == 0.5:
             raise NoConvergence(
                 "forced", best_point=x0, residual_norm=1.0,
-                iterations=max_iterations,
+                iterations=rz._MAX_NEWTON_ITERATIONS,
             )
-        return real(tri, p, tol, x0=x0, max_iterations=max_iterations)
+        return real(tri, p, tol, x0=x0)
 
     monkeypatch.setattr(rz, "rp_center", flaky)
     points = rz.potential_arc(tri, [0.0, 0.5, 1.0])
@@ -518,13 +519,13 @@ def test_arc_predictor_ignores_failed_points(monkeypatch):
     failed = {-1.5, 3.5}
     histories = []
 
-    def flaky(tri, p, tol=1e-10, *, x0=None, max_iterations=200):
+    def flaky(tri, p, tol=1e-10, *, x0=None):
         if p in failed:
             raise NoConvergence(
                 "forced", best_point=Point2(0.0, 0.0), residual_norm=1.0,
-                iterations=max_iterations,
+                iterations=rz._MAX_NEWTON_ITERATIONS,
             )
-        return real_solve(tri, p, tol, x0=x0, max_iterations=max_iterations)
+        return real_solve(tri, p, tol, x0=x0)
 
     def spy(tri, history, p, diam):
         histories.append([hp for hp, _ in history])
