@@ -1,135 +1,16 @@
 """Potentials of a uniformly charged triangle and their extreme points."""
 
-from .errors import (
-    BracketFailure,
-    DegenerateTriangle,
-    DegenerateTrilinears,
-    NegativeRadicand,
-    NoConvergence,
-    NotInterior,
-    ToleranceNotReached,
-    TooCloseToBoundary,
-    TripotentialError,
-)
-from .geometry import (
-    CevianAngles,
-    Point2,
-    PointLocation,
-    SideLengths,
-    Triangle,
-    Trilinears,
-    area,
-    cartesian_to_trilinear,
-    centroid,
-    cevian_angles,
-    circumcenter,
-    classify_point,
-    diameter,
-    distance_to_boundary,
-    incenter,
-    inradius,
-    orthocenter,
-    side_lengths,
-    triangle_from_sides,
-    trilinear_to_cartesian,
-    vertex_distances,
-)
-from .potential import (
-    FieldBatch,
-    FieldVector,
-    brute_force_max,
-    field_closed,
-    potential_closed,
-    potential_field_batch,
-    potential_quadrature,
-)
-from .center import (
-    LambdaSolution,
-    center_function_trilinears,
-    electrostatic_center,
-    kimberling_search_value,
-    lambda_residual,
-    solve_lambda,
-    stationarity_spreads,
-)
-from .estimates import (
-    RatioBandSummary,
-    initial_guess,
-    lambda_equilateral,
-    ratio_band_survey,
-    shape_parameter,
-)
-from .riesz import (
-    ArcPoint,
-    RpSolveReport,
-    illuminating_spread,
-    inversion_first_moment,
-    lambda_curve,
-    potential_arc,
-    rp_center,
-    stationarity_residual,
-    thomson_residual,
-)
+from . import center, errors, estimates, geometry, potential, riesz
+from .errors import *
+from .geometry import *
+from .potential import *
+from .center import *
+from .estimates import *
+from .riesz import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TripotentialError",
-    "DegenerateTriangle",
-    "DegenerateTrilinears",
-    "NotInterior",
-    "TooCloseToBoundary",
-    "ToleranceNotReached",
-    "NegativeRadicand",
-    "BracketFailure",
-    "NoConvergence",
-    "Point2",
-    "Triangle",
-    "SideLengths",
-    "Trilinears",
-    "CevianAngles",
-    "PointLocation",
-    "side_lengths",
-    "triangle_from_sides",
-    "area",
-    "inradius",
-    "diameter",
-    "distance_to_boundary",
-    "classify_point",
-    "cartesian_to_trilinear",
-    "trilinear_to_cartesian",
-    "cevian_angles",
-    "vertex_distances",
-    "centroid",
-    "incenter",
-    "circumcenter",
-    "orthocenter",
-    "FieldVector",
-    "potential_closed",
-    "potential_quadrature",
-    "field_closed",
-    "FieldBatch",
-    "potential_field_batch",
-    "brute_force_max",
-    "LambdaSolution",
-    "lambda_residual",
-    "solve_lambda",
-    "electrostatic_center",
-    "stationarity_spreads",
-    "center_function_trilinears",
-    "kimberling_search_value",
-    "lambda_equilateral",
-    "shape_parameter",
-    "initial_guess",
-    "RatioBandSummary",
-    "ratio_band_survey",
-    "RpSolveReport",
-    "ArcPoint",
-    "stationarity_residual",
-    "rp_center",
-    "illuminating_spread",
-    "inversion_first_moment",
-    "potential_arc",
-    "lambda_curve",
-    "thomson_residual",
+    *errors.__all__, *geometry.__all__, *potential.__all__,
+    *center.__all__, *estimates.__all__, *riesz.__all__,
 ]

@@ -1,5 +1,17 @@
 """Exception hierarchy for tripotential."""
 
+__all__ = [
+    "TripotentialError",
+    "DegenerateTriangle",
+    "DegenerateTrilinears",
+    "NotInterior",
+    "TooCloseToBoundary",
+    "ToleranceNotReached",
+    "NegativeRadicand",
+    "BracketFailure",
+    "NoConvergence",
+]
+
 
 class TripotentialError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,7 +39,9 @@ class TooCloseToBoundary(TripotentialError):
 
 
 class ToleranceNotReached(TripotentialError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """Adaptive quadrature missed its error target: the error of the
+    intervals at the depth cap alone exceeds it, or the subdivision budget
+    is spent.
 
     Attributes
     ----------

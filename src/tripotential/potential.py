@@ -179,8 +179,10 @@ def potential_quadrature(tri: Triangle, p: Point2) -> float:
     Raises
     ------
     ToleranceNotReached
-        If the subdivision budget is exhausted before the target relative
-        tolerance; the exception carries the achieved tolerance.
+        If a window misses its error target: at once when its intervals
+        at the depth cap alone exceed it (near-poles of R on slivers),
+        else when the subdivision budget is spent. The exception carries
+        the achieved tolerance.
     """
     windows = cone_windows(tri, p)
     if not windows:

@@ -49,6 +49,7 @@ _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
 _G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 _WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
 _MAX_INTERVALS = 20000  # bisections before integrate_adaptive gives up
+_MAX_DEPTH = 20  # bisections of [a, b] after which an interval is final
 
 
 class QuadResult(NamedTuple):
@@ -91,14 +92,16 @@ def integrate_adaptive(
     *,
     abs_tol: float,
     rel_tol: float = 0.0,
-    max_depth: int = 20,
 ) -> QuadResult:
     """Integrate f over [a, b] (b < a integrates with reversed sign).
 
     Bisects the interval with the largest |K15 - G7| estimate until the
-    accumulated error drops below max(abs_tol, rel_tol * |integral|),
-    every remaining interval has reached max_depth, or _MAX_INTERVALS
-    bisections are spent. Deterministic: heap ties go by insertion order.
+    accumulated error drops below the target max(abs_tol, rel_tol *
+    |integral|), or _MAX_INTERVALS bisections are spent. An interval
+    bisected _MAX_DEPTH times is final: its error estimate stays in the
+    total and can never shrink, so once the final intervals' errors alone
+    exceed the target the call gives up at once with converged=False.
+    Deterministic: heap ties go by insertion order.
     """
     if a == b:
         return QuadResult(0.0, 0.0, True, 0)
@@ -106,16 +109,19 @@ def integrate_adaptive(
     nfev = 15
     total_val = value
     total_err = error
+    final_err = 0.0
     heap = [(-error, 0, a, b, 0, value, error)]
     seq = 1
     n_intervals = 1
     while heap:
-        if total_err <= max(abs_tol, rel_tol * abs(total_val)):
+        target = max(abs_tol, rel_tol * abs(total_val))
+        if total_err <= target:
             break
         neg_err, _, lo, hi, depth, val, err = heapq.heappop(heap)
-        if depth >= max_depth:
-            # Cannot be refined further; its error estimate stays in the
-            # total. Keep draining in case other intervals can improve.
+        if depth >= _MAX_DEPTH:
+            final_err += err
+            if final_err > target:
+                break
             continue
         mid = 0.5 * (lo + hi)
         v1, e1 = _gk15(f, lo, mid)

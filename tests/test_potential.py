@@ -302,15 +302,11 @@ def test_brute_force_validates_grid():
         brute_force_max(tri, grid_n=8)
 
 
-def test_quadrature_tolerance_failure_is_reported(monkeypatch):
-    import tripotential.quadrature as quad
-
+def test_quadrature_tolerance_failure_is_reported():
     tri = triangle_from_sides(1, 1, 1)
     # nearly on a vertex: two cones carry near-singular angular windows,
-    # which stop at the bisection depth; a smaller interval budget only
-    # makes the failure arrive sooner
+    # which stop at the bisection depth
     p = Point2(1e-9, 1e-10)
-    monkeypatch.setattr(quad, "_MAX_INTERVALS", 200)
     with pytest.raises(ToleranceNotReached) as info:
         potential_quadrature(tri, p)
     assert info.value.achieved > info.value.target

@@ -10,7 +10,6 @@ Vertices are built from Python floats: numpy scalars would turn an
 overflow into a RuntimeWarning, which pytest makes an error."""
 
 import math
-from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,7 +41,6 @@ from tripotential import (
     thomson_residual,
     trilinear_to_cartesian,
 )
-from tripotential import quadrature
 
 # Relative accuracy compared, lengths in units of the diameter. Both
 # transformations are exact on the frame, so every call but the lambda
@@ -231,21 +229,15 @@ def test_oracle_layer_keeps_the_contract(
     """At the centroid, near the origin and moved off it, every oracle and
     point test returns finite values or raises a TripotentialError, and
     the angular quadrature, where it returns, agrees with the closed form
-    to its 1e-10 relative target.
-
-    On slivers the adaptive oracles can spend their whole bisection
-    budget, 1.5 s a call at the default 20,000 intervals. A budget of 500
-    keeps the suite fast; a spent budget raises ToleranceNotReached, which
-    the contract allows."""
-    with mock.patch.object(quadrature, "_MAX_INTERVALS", 500):
-        for vertices in _poses(angle_q, split, turn, offset_q, direction, order)[:2]:
-            try:
-                tri = Triangle(*(Point2(x, y) for x, y in vertices))
-            except DegenerateTriangle:
-                return
-            g = centroid(tri)
-            assert isinstance(classify_point(tri, g), PointLocation)
-            values = _oracle_values(tri, g)
-            closed, quad = values["potential_closed"], values["potential_quadrature"]
-            if closed is not None and quad is not None:
-                assert abs(quad[0] - closed[0]) <= 1e-10 * abs(closed[0])
+    to its 1e-10 relative target."""
+    for vertices in _poses(angle_q, split, turn, offset_q, direction, order)[:2]:
+        try:
+            tri = Triangle(*(Point2(x, y) for x, y in vertices))
+        except DegenerateTriangle:
+            return
+        g = centroid(tri)
+        assert isinstance(classify_point(tri, g), PointLocation)
+        values = _oracle_values(tri, g)
+        closed, quad = values["potential_closed"], values["potential_quadrature"]
+        if closed is not None and quad is not None:
+            assert abs(quad[0] - closed[0]) <= 1e-10 * abs(closed[0])

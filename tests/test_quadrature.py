@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tripotential import quadrature
 from tripotential.quadrature import integrate_adaptive
 
 
@@ -39,13 +40,24 @@ def test_complex_integrand():
     assert abs(res.value) < 1e-13
 
 
-def test_depth_exhaustion_reported():
+def test_depth_exhaustion_reported(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
     res = integrate_adaptive(
         lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-15), 0.0, 1.0,
-        abs_tol=1e-13, max_depth=2,
+        abs_tol=1e-13,
     )
     assert not res.converged
     assert res.error > 1e-13
+
+
+def test_out_of_reach_target_stops_early():
+    # The pole's intervals at the depth cap carry more error than the
+    # target; once they do, further bisection elsewhere cannot help.
+    res = integrate_adaptive(
+        lambda x: 1.0 / np.abs(x - 1.0 / 3.0), 0.0, 1.0, abs_tol=1e-13
+    )
+    assert not res.converged
+    assert res.nfev <= 1000
 
 
 def test_disk_kernel_value():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tripotential import (
     triangle_from_sides,
 )
 from tripotential.potential import cone_windows
+from tripotential import quadrature
 from tripotential.quadrature import integrate_adaptive
 
 from conftest import (
@@ -355,14 +357,15 @@ def _angular_reference(tri, q, p):
     rounding floor."""
     kern, r0 = rz._kernel(p), rz._ray_scale(tri, q)
     total = 0.0 + 0.0j
-    for start, delta, ray in cone_windows(tri, q):
+    with mock.patch.object(quadrature, "_MAX_DEPTH", 50):
+        for start, delta, ray in cone_windows(tri, q):
 
-        def f(phis, ray=ray):
-            return kern(ray(phis) / r0) * np.exp(1j * phis)
+            def f(phis, ray=ray):
+                return kern(ray(phis) / r0) * np.exp(1j * phis)
 
-        total += integrate_adaptive(
-            f, start, start + delta, abs_tol=0.0, rel_tol=1e-15, max_depth=50
-        ).value
+            total += integrate_adaptive(
+                f, start, start + delta, abs_tol=0.0, rel_tol=1e-15
+            ).value
     return total
 
 
