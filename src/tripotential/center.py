@@ -12,12 +12,12 @@ whole triangle becomes one scalar equation in lambda:
     sum_cyc sqrt((u^2 - a^2)(a^2 - (v - w)^2)) = 4 * area .
 
 The left side is strictly decreasing in lambda, so the root is unique.
-It is found by safeguarded Newton steps on log LHS - log RHS with the
+It is found by safeguarded Newton steps on log(LHS/RHS) with the
 analytic slope: LHS decays exponentially in lambda on slivers, and the
-log form stays close to linear there. From the root, u, v, w give the
-distances to the vertices and the center's Cartesian coordinates via a
-linear system, solved in the triangle's local frame (see ``geometry``)
-so that neither size nor a far-off position costs accuracy.
+log form stays close to linear there. By Heron's formula on a, r_B, r_C
+each term T_a is four times the area of PBC (and cyclic): the root's
+terms are the center's barycentric coordinates, and give its point (in
+the local frame, see ``geometry``), its trilinears T_a/a and search value.
 
 Numerical care: the differences the equation consumes (u - a, v - w) are
 evaluated through g(x) = coth(x) - 1/x and 1/sinh(x) so that no
@@ -29,6 +29,7 @@ same pass, since g' = 1 - g^2 - 2g/x follows from coth' = 1 - coth^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import BracketFailure, NegativeRadicand, TripotentialError
@@ -98,14 +99,14 @@ class LambdaSolution:
     u, v, w : float
         a*coth(a*lam/2s) and cyclic; the pairwise sums of vertex distances.
     r_a, r_b, r_c : float
-        Distances from the center to vertices A, B, C.
+        Distances from the center to vertices A, B, C, from u, v, w.
     residual : float
         |LHS - RHS| at the accepted root.
     iterations : int
         Residual evaluations spent, Newton steps and bracketing fallbacks
         alike (each evaluation also yields the slope).
     terms : tuple of float
-        The terms T_a, T_b, T_c at the root; T_a / a is the center function.
+        T_a, T_b, T_c at the root: barycentrics; T_a / a is the center function.
     """
 
     lam: float
@@ -188,7 +189,7 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     Always solves; the center, its trilinears and the search value share
     one solve per side lengths and tol instead (``_root``).
 
-    Runs Newton's method on log LHS(lambda) - log RHS from the shape-based
+    Runs Newton's method on log(LHS(lambda)/RHS) from the shape-based
     initial guess, with the analytic slope from the same pass that
     computes the three terms. LHS decays exponentially in lambda on
     slivers, which the log form turns into a near-linear function. Every
@@ -204,15 +205,16 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
         If no sign change appears within 60 doublings/halvings
         (degenerate input).
     TripotentialError
-        If the bracket shrinks to adjacent floats, or 300 residual
-        evaluations pass, before the residual test is met (roundoff in
-        LHS can exceed a tol near 1e-14 on slivers).
+        If 4*area is not a finite normal double, the bracket shrinks to
+        adjacent floats, or 300 evaluations pass before the residual test
+        is met (roundoff in LHS can exceed a tol near 1e-14 on slivers).
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")
     rhs = 4.0 * heron_area(sides)
+    if not sys.float_info.min <= rhs < math.inf:
+        raise TripotentialError(f"4*area = {rhs!r} is not a finite normal double")
     lam = initial_guess(sides)
-    log_rhs = math.log(rhs)
     lo, hi = 0.0, math.inf
     expansions = 0
     for evals in range(1, _MAX_EVALS + 1):
@@ -227,7 +229,7 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
             break
         step = math.nan
         if lhs > 0.0 and slope < 0.0:
-            step = (log_rhs - math.log(lhs)) * lhs / slope
+            step = math.log(rhs / lhs) * lhs / slope
         if abs(f) < tol * rhs and (abs(step) <= tol * lam or hi - lo < tol * lam):
             break
         lam_next = lam + step
@@ -278,7 +280,7 @@ def point_from_coth_parts(
     tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
 ) -> tuple[float, float]:
     """The point whose vertex-distance sums are u = inv_t + ga (and cyclic),
-    in the triangle's local frame (``Triangle._from_frame`` maps it back).
+    in the local frame: ``riesz.lambda_curve``'s point at each lambda.
 
     Subtracting the three vertex-distance circle equations pairwise
     yields a linear system (radical-center style) solved, A at 0, by
@@ -327,25 +329,17 @@ def electrostatic_center(
 ) -> tuple[Point2, LambdaSolution]:
     """The unique interior point where the field vanishes (max of V).
 
-    Intersects the vertex-distance circles of the sides' lambda root (one
-    solve per sides and tol, see ``_root``) in the local frame, and checks
-    there that the point is interior and consistent with the solved
-    distances (the system is overdetermined but consistent).
+    The terms (T_a, T_b, T_c) of the sides' lambda root (one solve per
+    sides and tol, see ``_root``) are its barycentric coordinates: in the
+    local frame, A at 0, P = (T_b*B + T_c*C) / (T_a + T_b + T_c), checked
+    there to be interior.
     """
     sides = side_lengths(tri)
     sol = _root(sides, tol)
-    x, y = point_from_coth_parts(tri, *coth_parts(sides, sol.lam))
-    e, bx, by, cx, cy = tri._frame
-    k = math.ldexp(1.0, -e)
-    mismatch = max(
-        abs(math.hypot(x, y) - k * sol.r_a),
-        abs(math.hypot(x - bx, y - by) - k * sol.r_b),
-        abs(math.hypot(x - cx, y - cy) - k * sol.r_c),
-    )
-    if mismatch > max(1e-9, 100.0 * tol) * k * max(sides.a, sides.b, sides.c):
-        raise TripotentialError(
-            f"vertex distances disagree with the lambda solution by {mismatch / k}"
-        )
+    t_a, t_b, t_c = sol.terms
+    total = t_a + t_b + t_c
+    _, bx, by, cx, cy = tri._frame
+    x, y = (t_b * bx + t_c * cx) / total, (t_b * by + t_c * cy) / total
     # classify_point's test on the frame point (the world point is rounded)
     if not min(_cross(x, y, 0.0, 0.0, bx, by), _cross(x, y, bx, by, cx, cy),
                _cross(x, y, cx, cy, 0.0, 0.0)) > BOUNDARY_BAND_RTOL * (bx * cy - by * cx):
@@ -414,12 +408,8 @@ def center_function_trilinears(sides: SideLengths, tol: float = 1e-12) -> Trilin
 def kimberling_search_value(sides: SideLengths, tol: float = 1e-12) -> float:
     """Distance from the center to side BC (the encyclopedia search key).
 
-    For trilinears tau the distance to side a is
-    2 * tau_a * area / (a*tau_a + b*tau_b + c*tau_c), with tau_a scaled by
-    the power of two of s meanwhile so that tau_a * area stays in range.
+    The barycentric T_a / (T_a + T_b + T_c) from the lambda root's terms
+    times the height 2 * area / a: a ratio of at most 1 times a length.
     """
-    tau = center_function_trilinears(sides, tol)
-    ar = heron_area(sides)
-    den = sides.a * tau.tau_a + sides.b * tau.tau_b + sides.c * tau.tau_c
-    e = math.frexp(sides.s)[1]
-    return math.ldexp(2.0 * math.ldexp(tau.tau_a, -e) * ar / den, e)
+    t_a, t_b, t_c = _root(sides, tol).terms
+    return t_a / (t_a + t_b + t_c) * (2.0 * heron_area(sides) / sides.a)

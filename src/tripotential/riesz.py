@@ -145,6 +145,17 @@ def _kernel(p: float):
     return lambda x: x**expo
 
 
+def _require_converged(res, target: float, what: str) -> None:
+    """ToleranceNotReached unless a window's quadrature result converged."""
+    if not res.converged:
+        raise ToleranceNotReached(
+            f"stationarity window {what} reached {res.error:.3e} absolute "
+            f"(target {target:.3e})",
+            achieved=res.error,
+            target=target,
+        )
+
+
 def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
     """The stationarity integral with R normalized by the local ray scale,
     by adaptive quadrature over the cone windows.
@@ -165,6 +176,7 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
         mag = integrate_adaptive(
             f_abs, phi_start, phi_start + delta, abs_tol=0.0, rel_tol=1e-3
         )
+        _require_converged(mag, 1e-3 * abs(mag.value), "magnitude")
         window_mag = abs(mag.value)
         # For exponents far from -1 the normalized kernel still integrates
         # to large values; the per-window budget scales with it so the
@@ -175,13 +187,7 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
             return kern(ray(phis) / r0) * np.exp(1j * phis)
 
         res = integrate_adaptive(f, phi_start, phi_start + delta, abs_tol=window_tol)
-        if not res.converged:
-            raise ToleranceNotReached(
-                f"stationarity window quadrature reached {res.error:.3e} "
-                f"absolute (target {window_tol:.3e})",
-                achieved=res.error,
-                target=window_tol,
-            )
+        _require_converged(res, window_tol, "quadrature")
         total += res.value
         magnitude += window_mag
     return total, magnitude, r0
@@ -276,7 +282,8 @@ def stationarity_residual(tri: Triangle, p_pt: Point2, p: float) -> FieldVector:
     NotInterior
         Point outside, on the boundary, or inside the exclusion band.
     ToleranceNotReached
-        A window could not reach its tolerance within 20 bisections.
+        A window's magnitude pass or its integral could not reach its
+        tolerance within 20 bisections.
     TripotentialError
         The factor r0**(p + 1) or a nonzero component of the literal
         integral is not a finite normal double at this triangle size.
@@ -531,10 +538,11 @@ def lambda_curve(
     """The planar curve traced by freeing the lambda parameter.
 
     For each lambda > 0 the coth quantities u, v, w are formed directly
-    (no root solve) and intersected into a point exactly as for the
-    electrostatic center; at the lambda root this reproduces that center,
-    elsewhere it sweeps a curve whose small- and large-lambda limits are
-    classical centers. Stable coth evaluation keeps the extremes usable.
+    (no root solve) and their vertex-distance circles intersected into a
+    point (off the root the equation's terms do not tile the triangle);
+    at the lambda root this reproduces the electrostatic center, elsewhere
+    it sweeps a curve whose small- and large-lambda limits are classical
+    centers. Stable coth evaluation keeps the extremes usable.
     """
     lams = [float(v) for v in lambda_values]
     if any(not math.isfinite(v) or v <= 0.0 for v in lams):

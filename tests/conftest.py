@@ -46,6 +46,17 @@ def random_sides(rng, min_angle=0.35, scale=(0.5, 2.0), scalene_gap=0.0):
         return SideLengths(a, b, c)
 
 
+def sliver_triangles(rng, n, max_height):
+    """Triangles (0,0), (1,0), (x,h): x uniform in 0.05..0.95 and h
+    log-uniform in 1e-6..max_height."""
+    xs = rng.uniform(0.05, 0.95, n)
+    hs = np.exp(rng.uniform(math.log(1e-6), math.log(max_height), n))
+    return [
+        Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(float(x), float(h)))
+        for x, h in zip(xs, hs)
+    ]
+
+
 def transform_triangle(tri, angle=0.0, dx=0.0, dy=0.0, scale=1.0):
     """Rotate, scale, then translate every vertex."""
     cs, sn = math.cos(angle), math.sin(angle)

@@ -42,6 +42,7 @@ from conftest import (
     random_interior_point,
     random_sides,
     random_triangle,
+    sliver_triangles,
     transform_point,
     transform_triangle,
 )
@@ -373,3 +374,26 @@ def test_center_in_the_boundary_band_is_refused(monkeypatch, golden_triangle):
     monkeypatch.setattr(center, "BOUNDARY_BAND_RTOL", 0.5)
     with pytest.raises(TripotentialError, match="not interior"):
         electrostatic_center(golden_triangle)
+
+
+def test_center_is_the_point_of_its_trilinears_on_slivers():
+    # the point and the trilinears are both the root's terms, so they agree
+    # to rounding even where the terms themselves are inaccurate
+    solved = 0
+    for tri in sliver_triangles(make_rng(12345), 200, 1e-3):
+        try:
+            point, _ = electrostatic_center(tri)
+        except TripotentialError:
+            continue
+        solved += 1
+        ref = trilinear_to_cartesian(tri, center_function_trilinears(side_lengths(tri)))
+        assert point.distance_to(ref) <= 1e-14 * diameter(tri), tri
+    assert solved >= 100
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5])
+def test_needle_center_is_field_free(h):
+    tri = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, h))
+    point, _ = electrostatic_center(tri)
+    field = field_closed(tri, point).norm()
+    assert field * diameter(tri) / potential_closed(tri, point) < 1e-6

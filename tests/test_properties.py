@@ -45,8 +45,10 @@ from tripotential import (
 # Relative accuracy compared, lengths in units of the diameter. Both
 # transformations are exact on the frame, so every call but the lambda
 # solve sees the same frame before and after. The solve works on the side
-# lengths and rounds log RHS - log LHS differently at each size: on
-# slivers its last bits move the center, and decide whether the bracket
+# lengths: it is exactly equivariant under 2^k while its slope's length^3
+# products stay in range (about 2^+-330, see test_scale), but translation
+# rounds the side lengths, and 2^+-498 lies outside that range. On slivers
+# those last bits move the center, and decide whether the bracket
 # collapses, so it is held to the loose end of the documented 1e-10 ..
 # 1e-12, and a typed error on one side of a comparison only is accepted.
 RTOL = {"electrostatic_center": 1e-10}

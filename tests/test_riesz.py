@@ -596,3 +596,12 @@ def test_admissibility_matches_classify_and_boundary_distance():
         assert (rz._admissible_ray_scale(tri, q, diam) is not None) == reference
         agree += reference
     assert 0 < agree < 2000
+
+
+def test_stationarity_residual_refuses_an_unconverged_magnitude_pass():
+    # at p = 10 on this sliver the magnitude pass of a window stops short
+    # of its 1e-3 relative target; its value would set the integral's
+    # tolerance
+    tri = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.5, 1e-6))
+    with pytest.raises(ToleranceNotReached, match="magnitude"):
+        stationarity_residual(tri, centroid(tri), 10.0)

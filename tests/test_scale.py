@@ -9,6 +9,7 @@ import pytest
 
 from tripotential import (
     Point2,
+    SideLengths,
     Triangle,
     TripotentialError,
     cartesian_to_trilinear,
@@ -25,12 +26,15 @@ from tripotential import (
     potential_arc,
     rp_center,
     side_lengths,
+    solve_lambda,
     stationarity_residual,
     thomson_residual,
     triangle_from_sides,
     trilinear_to_cartesian,
 )
 from tripotential.geometry import area, heron_area
+
+from conftest import make_rng, sliver_triangles
 
 EXPONENTS = (-150, -110, -70, 70, 110, 150)
 RIESZ_P = (-10.0, -1.0, 0.0, 5.0, 10.0)
@@ -144,6 +148,49 @@ def test_electrostatic_center_is_scale_free(k):
     assert kimberling_search_value(sides) / s == pytest.approx(
         kimberling_search_value(unit_sides), rel=1e-12
     )
+
+
+def _shape_4_0_1_3(s):
+    return Triangle(Point2(0.0, 0.0), Point2(4.0 * s, 0.0), Point2(1.0 * s, 3.0 * s))
+
+
+def test_electrostatic_center_at_the_range_edge():
+    # at 1e-160 the area is subnormal: the solve refuses it by name
+    unit, _ = electrostatic_center(_shape_4_0_1_3(1.0))
+    tri = _shape_4_0_1_3(1e-150)
+    point, _ = electrostatic_center(tri)
+    assert math.hypot(point.x - 1e-150 * unit.x, point.y - 1e-150 * unit.y) <= (
+        1e-12 * diameter(tri)
+    )
+    with pytest.raises(TripotentialError, match="area"):
+        electrostatic_center(_shape_4_0_1_3(1e-160))
+
+
+def _solution_bits(sides, k):
+    """solve_lambda on sides scaled by 2^k, with every length mapped back
+    by 2^-k and every area by 2^-2k, or the type and message it raises."""
+    scaled = SideLengths(*(math.ldexp(v, k) for v in (sides.a, sides.b, sides.c)))
+    try:
+        sol = solve_lambda(scaled)
+    except TripotentialError as exc:
+        return type(exc), str(exc)
+    lengths = (sol.u, sol.v, sol.w, sol.r_a, sol.r_b, sol.r_c)
+    areas = (*sol.terms, sol.residual)
+    return (sol.lam, sol.iterations, *(math.ldexp(v, -k) for v in lengths),
+            *(math.ldexp(v, -2 * k) for v in areas))
+
+
+def test_solve_lambda_is_exactly_equivariant_on_slivers():
+    # the Newton step takes the log of the ratio RHS/LHS, the same double
+    # at every size, and the slope's length^3 products stay in range
+    returned = 0
+    for tri in sliver_triangles(make_rng(300), 300, 1e-2):
+        sides = side_lengths(tri)
+        ref = _solution_bits(sides, 0)
+        returned += isinstance(ref[0], float)
+        for k in (-300, -3, 1, 300):
+            assert _solution_bits(sides, k) == ref, (sides, k)
+    assert returned >= 100
 
 
 def _moved(tri, shift, scale=1.0):
