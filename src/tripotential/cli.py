@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -602,9 +603,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process: building it costs
+    far more than parsing one command line."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TripotentialError, ArithmeticError, ValueError, OSError) as exc:

@@ -247,6 +247,8 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     DegenerateTriangle
         If the strict triangle inequality fails (within relative
         tolerance 1e-12).
+    TripotentialError
+        If the area exceeds the largest double (``heron_area``).
     """
     sides = SideLengths(a, b, c)  # validates the triangle inequality
     x_a = (a * a + c * c - b * b) / (2.0 * a)
@@ -268,6 +270,11 @@ def heron_area(sides: SideLengths) -> float:
     are scaled by the power of two 2^-e that brings the longest into
     [0.5, 1), which is exact, so the product of the four side-sized
     factors neither overflows nor underflows at any triangle size.
+
+    Raises
+    ------
+    TripotentialError
+        If the area itself exceeds the largest double.
     """
     e = math.frexp(max(sides.a, sides.b, sides.c))[1]
     x, y, z = sorted(
@@ -277,7 +284,12 @@ def heron_area(sides: SideLengths) -> float:
     unit = 0.25 * math.sqrt(
         (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     )
-    return math.ldexp(unit, 2 * e)
+    try:
+        return math.ldexp(unit, 2 * e)
+    except OverflowError:
+        raise TripotentialError(
+            f"the area {unit!r} * 2**{2 * e} exceeds the largest double"
+        ) from None
 
 
 def inradius(tri: Triangle) -> float:

@@ -45,9 +45,9 @@ _WG_CENTER = 0.417959183673469
 
 _NODES = np.array([-x for x in _XK_HALF] + [0.0] + list(reversed(_XK_HALF)))
 _WK = np.array(list(_WK_HALF) + [_WK_CENTER] + list(reversed(_WK_HALF)))
-# Gauss-7 nodes are the odd-indexed Kronrod nodes.
-_G_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG = np.array(list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF)))
+# K15 - G7 weights: the Gauss-7 nodes are the odd-indexed Kronrod nodes.
+_WK_MINUS_WG = _WK.copy()
+_WK_MINUS_WG[1::2] -= list(_WG_HALF) + [_WG_CENTER] + list(reversed(_WG_HALF))
 _MAX_INTERVALS = 20000  # bisections before integrate_adaptive gives up
 _MAX_DEPTH = 20  # bisections of [a, b] after which an interval is final
 
@@ -62,17 +62,17 @@ class QuadResult(NamedTuple):
 def _gk15_panels(y, half):
     """Kronrod-15 values and error estimates of panels sampled at _NODES.
 
-    y holds the integrand at the 15 nodes of each panel, shape
-    (panels, 15) or (15,), real or complex; half is each panel's
-    half-width. Returns (K15 values, error estimates), one per panel.
+    y holds the integrand at the 15 nodes of each panel on its last axis,
+    shape (panels, 15) or (15,), real or complex; half is each panel's
+    half-width, shape (panels,) or scalar. Returns (K15 values, error
+    estimates), one per panel.
     """
-    y = y.T
-    k15 = half * (_WK @ y)
-    g7 = half * (_WG @ y[_G_IDX])
-    raw = abs(k15 - g7)
+    total = y @ _WK
+    k15 = half * total
+    raw = abs(half * (y @ _WK_MINUS_WG))
     # QUADPACK-style rescaling: |K15 - G7| tracks the error of G7, which
     # grossly overstates the accepted K15 value on smooth integrands.
-    resasc = abs(half) * (_WK @ abs(y - k15 / (2.0 * half)))
+    resasc = abs(half) * (abs(y - 0.5 * total[..., None]) @ _WK)
     # resasc = 0 only where the integrand is the same at every node
     # (zero, in practice): the estimate is then 0, not 0 / 0.
     ratio = 200.0 * raw / (resasc + (resasc == 0.0))

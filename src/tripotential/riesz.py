@@ -30,7 +30,7 @@ independent check.
 predictor-corrector continuation (Allgower & Georg, Introduction to
 Numerical Continuation Methods, 1990): it starts at p = 2, where the
 answer is the centroid, and predicts each next start by gated Lagrange
-extrapolation along the points already solved.
+extrapolation, of degree up to 5, along the points already solved.
 
 Special values: p = 2 lands on the centroid, p = -2 on the equal
 angle-per-area "illuminating" point, p = -4 on the point whose
@@ -40,6 +40,7 @@ the point itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -193,6 +194,19 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
     return total, magnitude, r0
 
 
+@functools.lru_cache(maxsize=64)
+def _panel_layout(panels: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rule's layout for (panels per edge): each panel's edge
+    index, and its center's offset 2k + 1 in half-widths from the edge's
+    s1, k the panel's index along its edge. The arrays are shared between
+    calls, so they are read-only."""
+    edge = np.repeat(np.arange(3), panels)
+    k = np.arange(edge.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    centers = 2.0 * k + 1.0
+    edge.flags.writeable = centers.flags.writeable = False
+    return edge, centers
+
+
 def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     """The stationarity integral of ``_scaled_residual`` on sinh-graded
     edge panels, with its exact Jacobian.
@@ -208,11 +222,17 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     u has outward normal n = (u_y, -u_x), and a strictly interior P lies
     at d = (V1 - P) . n > 0 from its line. With t = d sinh(s) along the
     edge from the foot of the perpendicular, r = d cosh(s), dphi =
-    ds / cosh(s) and e^{i phi} = (n + sinh(s) u) / cosh(s); the edge
-    adds -n (x) integral of kern'(r/r0) e^{i phi} ds to dS/d(P/r0).
+    ds / cosh(s) and e^{i phi} = n sech(s) + u tanh(s); the edge adds
+    -n (x) integral of kern'(r/r0) e^{i phi} ds to dS/d(P/r0).
+
+    With rho = r/r0, rho sech(s) = d/r0 on the whole edge. For p != -1
+    the integrand of S is therefore (d/r0) rho^p e^{i phi}, one power per
+    node, and the Jacobian's integrand (p+1) rho^p e^{i phi} is the same
+    times (p+1)/(d/r0), so each panel's moment is (p+1)/(d/r0) times its
+    K15 value. For p = -1 the kernel is log rho and kern' = 1/rho.
     """
     width = 2.0 * min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (abs(p) + 1.0))
-    rows = []
+    counts, rows = [], []
     for v1, v2 in tri.edges():
         length = v1.distance_to(v2)
         ux, uy = (v2.x - v1.x) / length, (v2.y - v1.y) / length
@@ -223,31 +243,34 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
         if not count <= _MAX_PANELS:
             raise TripotentialError(f"p={p:g} needs {count:.3g} panels on an edge")
         panels = math.ceil(count)
-        rows.append((panels, s1, (s2 - s1) / panels, d / r0,
+        counts.append(panels)
+        rows.append((s1, 0.5 * (s2 - s1) / panels, d / r0,
                      complex(uy, -ux), complex(ux, uy)))
-    panels, s1, step, scale, normal, along = (np.array(col) for col in zip(*rows))
-    # per panel: its edge and its index along that edge
-    edge = np.repeat(np.arange(3), panels)
-    k = np.arange(edge.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    half = 0.5 * step[edge]
-    s = (s1[edge] + (2 * k + 1) * half)[:, None] + half[:, None] * _NODES
-    sech = 1.0 / np.cosh(s)
-    rho = scale[edge, None] / sech
-    unit = (normal[edge, None] + np.sinh(s) * along[edge, None]) * sech
+    edge, centers = _panel_layout(tuple(counts))
+    # one row per panel: s1, half-width, d/r0, normal, along
+    s1, half, scale, normal, along = np.array(rows)[edge].T
+    half, scale = half.real, scale.real
+    s = (s1.real + centers * half)[:, None] + half[:, None] * _NODES
+    cosh = np.cosh(s)
+    sech = 1.0 / cosh
+    unit = normal[:, None] * sech + along[:, None] * np.tanh(s)
     # An overflowing kernel leaves a nan error estimate, refused by rp_center.
     with np.errstate(over="ignore", invalid="ignore"):
-        rho_p = rho**p
+        rho = scale[:, None] * cosh
         if p == -1.0:
-            kern, kern_prime = np.log(rho), rho_p
+            kern = np.log(rho) * sech
+            values, errors = _gk15_panels(kern * unit, half)
+            magnitude = half @ (np.abs(kern) @ _WK)
+            moment = half * ((sech * unit) @ _WK) / scale
         else:
-            kern, kern_prime = rho_p * rho, (p + 1.0) * rho_p
-        values, errors = _gk15_panels(kern * sech * unit, half)
-        magnitude = float(half @ (np.abs(kern) * sech @ _WK))
-        moment = half * ((kern_prime * unit) @ _WK)
-    gx = -(normal.real[edge] @ moment)
-    gy = -(normal.imag[edge] @ moment)
+            kern = scale[:, None] * rho**p  # kern(rho) sech(s) = (d/r0) rho^p
+            values, errors = _gk15_panels(kern * unit, half)
+            magnitude = half @ (kern @ _WK)
+            moment = (p + 1.0) / scale * values
+    gx = -(normal.real @ moment)
+    gy = -(normal.imag @ moment)
     jac = np.array([[gx.real, gx.imag], [gy.real, gy.imag]])
-    return complex(values.sum()), magnitude, float(errors.sum()), jac
+    return complex(values.sum()), float(magnitude), float(errors.sum()), jac
 
 
 def _rescaled(parts, r0: float, expo: float) -> list[float]:
@@ -449,14 +472,15 @@ def _predict(tri: Triangle, history, p: float, diam: float) -> Point2:
     """Start for the solve at p from the last converged (p_i, x_i) of one
     direction of a sweep, distinct in p and ordered toward p.
 
-    The cubic extrapolation through the last four points is taken if the
-    quadratic through the last three lies within 10% of the cubic's own
-    step from the previous point; if not, the quadratic, gated the same
-    way by the linear one. The accepted start must also be finite and
-    keep the Newton margin; otherwise the previous point is returned.
+    The extrapolation of degree n through the last n + 1 points is taken
+    if the one of degree n - 1 through the last n lies within 10% of its
+    own step from the previous point, for n = 5, 4, 3, 2 in turn: the
+    highest degree with enough points whose gate passes wins. The
+    accepted start must also be finite and keep the Newton margin;
+    otherwise the previous point is returned.
     """
     prev = history[-1][1]
-    for order in (3, 2):
+    for order in (5, 4, 3, 2):
         if len(history) <= order:
             continue
         hx, hy = _extrapolate(history[-order - 1:], p)
@@ -479,8 +503,8 @@ def potential_arc(
     range. The exponent nearest 2, where the extreme point is the
     centroid, is solved first from the centroid; the sweep then runs up
     and down from it, each solve warm-started from the gated polynomial
-    extrapolation of the points already solved in its direction
-    (predictor-corrector continuation, see ``_predict``). Results come
+    extrapolation, of degree up to 5, of the points already solved in its
+    direction (predictor-corrector continuation, see ``_predict``). Results come
     in ascending p, one row per exponent, duplicates included. A solve
     that raises NoConvergence is recorded with converged=False, does not
     abort the sweep and does not feed the predictor; any other error of

@@ -13,7 +13,8 @@ from tripotential import (
     potential_closed,
     triangle_from_sides,
 )
-from tripotential.cli import main
+from tripotential import cli
+from tripotential.cli import build_parser, main
 
 from conftest import GOLDEN_LAMBDA, SEARCH_VALUE_6_9_13
 
@@ -178,6 +179,25 @@ def test_arc_json_validates(capsys):
     )
     assert code == 0
     validate(json.loads(out))
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argv = ("arc", "--sides", "4,5,6", "--p-min", "-2", "--p-max", "3",
+                "--steps", "6")
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first == second and first[0] == 0
 
 
 @pytest.mark.parametrize("k", (-150, -110, -70, 70, 110, 150))

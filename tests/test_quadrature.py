@@ -73,3 +73,35 @@ def test_disk_kernel_value():
         abs_tol=1e-13,
     )
     assert res.value == pytest.approx(2.0 * math.pi * radius, rel=1e-14)
+
+
+def _separate_sums(y, half):
+    """K15, G7 and the QUADPACK estimate of one panel from separate
+    Kronrod and Gauss-7 sums over its nodes."""
+    gauss = [0.129484966168870, 0.279705391489277, 0.381830050505119,
+             0.417959183673469, 0.381830050505119, 0.279705391489277,
+             0.129484966168870]
+    k15 = half * sum(w * v for w, v in zip(quadrature._WK, y))
+    g7 = half * sum(w * v for w, v in zip(gauss, y[1::2]))
+    mean = k15 / (2.0 * half)
+    resasc = abs(half) * sum(w * abs(v - mean) for w, v in zip(quadrature._WK, y))
+    return k15, g7, resasc * min(1.0, (200.0 * abs(k15 - g7) / resasc) ** 1.5)
+
+
+def test_gk15_panels_on_rows_match_single_panels_and_separate_sums():
+    rng = np.random.default_rng(15)
+    half = rng.uniform(0.01, 2.0, 40)
+    x = rng.uniform(-3.0, 3.0, 40)[:, None] + half[:, None] * quadrature._NODES
+    for y in (np.exp(x) * (2.0 + np.cos(3.0 * x)), np.exp(1j * x) / (1.1 + np.cos(x))):
+        values, errors = quadrature._gk15_panels(y, half)
+        assert values.shape == errors.shape == (40,)
+        compared = 0
+        for row, h, value, error in zip(y, half, values, errors):
+            one_value, one_error = quadrature._gk15_panels(row, h)
+            assert abs(value - one_value) <= 1e-15 * abs(one_value)
+            k15, g7, estimate = _separate_sums(row, h)
+            if abs(k15 - g7) > 1e-8 * abs(k15):
+                assert error == pytest.approx(estimate, rel=1e-6)
+                assert one_error == pytest.approx(estimate, rel=1e-6)
+                compared += 1
+        assert compared >= 10

@@ -482,6 +482,26 @@ def test_arc_81_steps_costs_at_most_190_evaluations():
     assert at2.iterations == 1
 
 
+def test_arc_81_steps_on_a_thin_isosceles_costs_at_most_190_evaluations():
+    # the shape of the riesz_arc benchmark's band: smallest angle 0.11 rad,
+    # the other two equal
+    rest = 0.5 * (math.pi - 0.11)
+    tri = triangle_from_sides(math.sin(0.11), math.sin(rest), math.sin(rest))
+    points = potential_arc(tri, [-10.0 + 0.25 * k for k in range(81)])
+    assert len(points) == 81 and all(ap.converged for ap in points)
+    assert sum(ap.iterations for ap in points) <= 190
+    assert max(ap.iterations for ap in points) <= 4
+
+
+def test_edge_rule_layouts_are_read_only():
+    edge, centers = rz._panel_layout((2, 3, 4))
+    assert edge.tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2]
+    assert centers.tolist() == [1, 3, 1, 3, 5, 1, 3, 5, 7]
+    for array in (edge, centers):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 @pytest.mark.parametrize(
     "tri",
     [triangle_from_sides(4, 5, 6), triangle_from_sides(1, 1, 1.9), _sliver(0.005)],

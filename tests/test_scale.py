@@ -166,6 +166,15 @@ def test_electrostatic_center_at_the_range_edge():
         electrostatic_center(_shape_4_0_1_3(1e-160))
 
 
+def test_an_area_beyond_double_range_is_a_typed_error():
+    for build in (
+        lambda: kimberling_search_value(SideLengths(1e155, 1e155, 1e155)),
+        lambda: triangle_from_sides(1e155, 1e155, 1e155),
+    ):
+        with pytest.raises(TripotentialError, match="area"):
+            build()
+
+
 def _solution_bits(sides, k):
     """solve_lambda on sides scaled by 2^k, with every length mapped back
     by 2^-k and every area by 2^-2k, or the type and message it raises."""
