@@ -40,6 +40,7 @@ from .geometry import (
     SideLengths,
     Triangle,
     Trilinears,
+    _clears_boundary,
     _cross,
     cevian_angles,
     heron_area,
@@ -338,11 +339,14 @@ def electrostatic_center(
     sol = _root(sides, tol)
     t_a, t_b, t_c = sol.terms
     total = t_a + t_b + t_c
-    _, bx, by, cx, cy = tri._frame
+    e, bx, by, cx, cy = tri._frame
     x, y = (t_b * bx + t_c * cx) / total, (t_b * by + t_c * cy) / total
     # classify_point's test on the frame point (the world point is rounded)
-    if not min(_cross(x, y, 0.0, 0.0, bx, by), _cross(x, y, bx, by, cx, cy),
-               _cross(x, y, cx, cy, 0.0, 0.0)) > BOUNDARY_BAND_RTOL * (bx * cy - by * cx):
+    k = math.ldexp(1.0, -e)
+    a, b, c = k * sides.a, k * sides.b, k * sides.c
+    tau = (_cross(x, y, bx, by, cx, cy) / a, _cross(x, y, cx, cy, 0.0, 0.0) / b,
+           _cross(x, y, 0.0, 0.0, bx, by) / c)
+    if not _clears_boundary(tau, BOUNDARY_BAND_RTOL * max(a, b, c)):
         raise TripotentialError(f"computed center {tri._from_frame(x, y)} is not interior")
     return tri._from_frame(x, y), sol
 

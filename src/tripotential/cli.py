@@ -12,9 +12,10 @@ Subcommands:
 * ``verify``        golden-value regression; exit 1 on any failure
 
 Exit codes: 0 success, 1 verification failure, 2 input, solver, arithmetic
-or output error (e.g. ``--out`` into a missing directory, or an overflow
-of the lambda estimate at sizes beyond 1e+-100). On those errors a
-machine-readable ``{"error": ...}`` object is printed to stdout.
+or output error (e.g. ``--out`` into a missing directory, a stdout
+closed by its reader, or an overflow of the lambda estimate at sizes
+beyond 1e+-100). On those errors a machine-readable ``{"error": ...}``
+object is printed to stdout, if it is still open.
 ``grid`` rows come from the array kernel
 ``potential_field_batch``, evaluated and streamed (CSV) block by block of
 whole grid rows once every input has been validated. Every row carries the
@@ -31,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 
@@ -142,6 +144,7 @@ def _output(out_path: str | None):
             yield fh
     else:
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe fails here, inside main
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -258,7 +261,7 @@ def _cmd_search_value(args) -> int:
 def _cmd_rp_center(args) -> int:
     tol = _check_tol(args.tol)
     tri = _triangle_from_args(args)
-    rep = riesz.rp_center(tri, args.p, max(tol, 1e-12))
+    rep = riesz.rp_center(tri, args.p, tol)
     report = {
         "command": "rp-center",
         "triangle": _triangle_info(tri),
@@ -296,7 +299,7 @@ def _cmd_arc(args) -> int:
         raise ValueError("--p-max must exceed --p-min")
     step = (args.p_max - args.p_min) / (args.steps - 1)
     p_values = [args.p_min + i * step for i in range(args.steps)]
-    points = riesz.potential_arc(tri, p_values, max(tol, 1e-12))
+    points = riesz.potential_arc(tri, p_values, tol)
     if not any(ap.converged for ap in points):
         raise TripotentialError("no arc point converged")
     rows = _arc_rows(tri, points)
@@ -616,7 +619,17 @@ def main(argv=None) -> int:
         return args.func(args)
     except (TripotentialError, ArithmeticError, ValueError, OSError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(error, indent=2) + "\n")
+        try:
+            sys.stdout.write(json.dumps(error, indent=2) + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader is gone (e.g. `| head -1`): point stdout at devnull
+            # so that the flush at exit does not fail a second time.
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fileno = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fileno)
+                os.close(devnull)
         return 2
 
 

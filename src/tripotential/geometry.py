@@ -16,6 +16,9 @@ Conventions used throughout the package:
   or underflows at any size and an offset costs only the way back, one
   ``ldexp`` and one add per coordinate (``TripotentialError`` if the
   point is not finite).
+* One criterion per decision: a triangle is valid by its side lengths
+  (``SideLengths``), and a point is inside by more than m when min tau
+  > m, over its signed distances tau = u x w / L to the side lines.
 """
 
 from __future__ import annotations
@@ -53,11 +56,12 @@ __all__ = [
     "orthocenter",
 ]
 
-# Relative tolerance below which a triangle counts as degenerate:
-# |2 * signed area| must exceed this times the squared longest side.
+# Relative tolerance below which a triangle counts as degenerate: the
+# smallest slack of the triangle inequality, min(b + c - a, ...), must
+# exceed this times the longest side.
 DEGENERACY_RTOL = 1e-12
 
-# Relative half-width of the boundary band used by classify_point.
+# Half-width of classify_point's boundary band, times the diameter.
 BOUNDARY_BAND_RTOL = 1e-12
 
 
@@ -76,13 +80,15 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def _cross(ox, oy, ax, ay, bx, by):
-    """Twice the signed area of triangle (o, a, b); floats or numpy arrays.
+def _cross(ox, oy, ax, ay, bx, by, scale=1.0):
+    """Twice the signed area of triangle (o, a, b) times scale, a power of
+    two that multiplies one factor of each product (exact, and the frame's
+    2^-e keeps the products in range); floats or numpy arrays.
 
     With o a point and (a, b) an edge, this u x w (u, w from the point to
     the endpoints) is the package's one point-versus-edge orientation.
     """
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    return (ax - ox) * scale * (by - oy) - (ay - oy) * scale * (bx - ox)
 
 
 @dataclass(frozen=True)
@@ -92,52 +98,39 @@ class Triangle:
     Any vertex order may be passed in; the constructor swaps two vertices
     if needed so that (A, B, C) runs counterclockwise. The relabelling is
     consistent: side lengths and angle names follow the stored order.
+    Raises DegenerateTriangle if the side lengths fail ``SideLengths``.
     """
 
     a_vertex: Point2
     b_vertex: Point2
     c_vertex: Point2
+    # Side lengths a = |BC|, b = |CA|, c = |AB|, validated at construction.
+    sides: "SideLengths" = field(init=False, repr=False, compare=False)
+    # The local frame (e, bx, by, cx, cy): B - A and C - A scaled exactly
+    # by 2^-e, which brings the diameter into [0.5, 1).
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A, B, C = self.a_vertex, self.b_vertex, self.c_vertex
-        doubled = _cross(A.x, A.y, B.x, B.y, C.x, C.y)
-        longest_sq = max(
-            (B.x - C.x) ** 2 + (B.y - C.y) ** 2,
-            (C.x - A.x) ** 2 + (C.y - A.y) ** 2,
-            (A.x - B.x) ** 2 + (A.y - B.y) ** 2,
-        )
-        if abs(doubled) <= DEGENERACY_RTOL * longest_sq:
-            raise DegenerateTriangle(
-                f"vertices are numerically collinear: {A}, {B}, {C}"
-            )
-        if doubled < 0:  # normalize to counterclockwise
+        A, B, C = self.vertices
+        a, b, c = B.distance_to(C), C.distance_to(A), A.distance_to(B)
+        e = math.frexp(max(a, b, c))[1]
+        bx, by = math.ldexp(B.x - A.x, -e), math.ldexp(B.y - A.y, -e)
+        cx, cy = math.ldexp(C.x - A.x, -e), math.ldexp(C.y - A.y, -e)
+        if _cross(0.0, 0.0, bx, by, cx, cy) < 0.0:  # normalize to counterclockwise
             object.__setattr__(self, "b_vertex", C)
             object.__setattr__(self, "c_vertex", B)
+            b, c, bx, by, cx, cy = c, b, cx, cy, bx, by
+        object.__setattr__(self, "sides", SideLengths(a, b, c))
+        object.__setattr__(self, "_frame", (e, bx, by, cx, cy))
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
         return (self.a_vertex, self.b_vertex, self.c_vertex)
 
-    @functools.cached_property
-    def sides(self) -> "SideLengths":
-        """Side lengths a = |BC|, b = |CA|, c = |AB|, computed and validated
-        on first access; a failed validation caches nothing and raises again."""
-        A, B, C = self.vertices
-        return SideLengths(B.distance_to(C), C.distance_to(A), A.distance_to(B))
-
     def edges(self) -> tuple[tuple[Point2, Point2], ...]:
         """Directed edges (A,B), (B,C), (C,A) in counterclockwise order."""
         A, B, C = self.vertices
         return ((A, B), (B, C), (C, A))
-
-    @functools.cached_property
-    def _frame(self) -> tuple[int, float, float, float, float]:
-        """The local frame (e, bx, by, cx, cy): B - A and C - A scaled
-        exactly by 2^-e, which brings the diameter into [0.5, 1)."""
-        A, B, C = self.vertices
-        e = math.frexp(diameter(self))[1]
-        return (e, math.ldexp(B.x - A.x, -e), math.ldexp(B.y - A.y, -e),
-                math.ldexp(C.x - A.x, -e), math.ldexp(C.y - A.y, -e))
 
     @functools.cached_property
     def _local(self) -> "Triangle":
@@ -173,7 +166,7 @@ class SideLengths:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        if not all(math.isfinite(v) and v > 0 for v in (a, b, c)):
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
             raise DegenerateTriangle(f"side lengths must be positive, got {a}, {b}, {c}")
         slack = min(b + c - a, c + a - b, a + b - c)
         if slack <= DEGENERACY_RTOL * max(a, b, c):
@@ -322,41 +315,29 @@ def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     return dist
 
 
-def _locate(tri: Triangle, cr_min):
-    """``classify_point``'s (interior, exterior) verdicts from the smallest
-    orientation u x w over the three edges; floats or numpy arrays. A
-    relative band of width BOUNDARY_BAND_RTOL around zero is neither."""
-    eta = cr_min / (2.0 * area(tri))
-    return eta > BOUNDARY_BAND_RTOL, eta < -BOUNDARY_BAND_RTOL
-
-
 def classify_point(tri: Triangle, p: Point2) -> PointLocation:
-    """Locate p relative to the triangle via barycentric sign tests.
-
-    Per edge, u x w over twice the area is the barycentric coordinate of
-    p for the opposite vertex; a relative band of width 1e-12 around zero
-    counts as Boundary.
-    """
-    A, B, C = tri.vertices
-    interior, exterior = _locate(tri, min(
-        _cross(p.x, p.y, A.x, A.y, B.x, B.y),
-        _cross(p.x, p.y, B.x, B.y, C.x, C.y),
-        _cross(p.x, p.y, C.x, C.y, A.x, A.y),
-    ))
-    if exterior:
-        return PointLocation.EXTERIOR
-    return PointLocation.INTERIOR if interior else PointLocation.BOUNDARY
+    """Locate p by its smallest signed distance to the side lines, min tau:
+    Interior above BOUNDARY_BAND_RTOL * diameter, Exterior below minus
+    that, Boundary in between."""
+    tau_min = min(_side_distances(tri, p.x, p.y))
+    band = BOUNDARY_BAND_RTOL * diameter(tri)
+    if tau_min > band:
+        return PointLocation.INTERIOR
+    return PointLocation.EXTERIOR if tau_min < -band else PointLocation.BOUNDARY
 
 
 def _side_distances(tri: Triangle, x, y):
     """Signed distances (tau_a, tau_b, tau_c) of (x, y) to the side lines
-    BC, CA, AB: per side u x w over its length. Floats or numpy arrays."""
+    BC, CA, AB: per side u x w over its length, both scaled exactly by the
+    frame's 2^-e so that no product leaves double range. Floats or numpy
+    arrays."""
     A, B, C = tri.vertices
-    sl = side_lengths(tri)
+    sl = tri.sides
+    k = math.ldexp(1.0, -tri._frame[0])
     return (
-        _cross(x, y, B.x, B.y, C.x, C.y) / sl.a,
-        _cross(x, y, C.x, C.y, A.x, A.y) / sl.b,
-        _cross(x, y, A.x, A.y, B.x, B.y) / sl.c,
+        _cross(x, y, B.x, B.y, C.x, C.y, k) / (k * sl.a),
+        _cross(x, y, C.x, C.y, A.x, A.y, k) / (k * sl.b),
+        _cross(x, y, A.x, A.y, B.x, B.y, k) / (k * sl.c),
     )
 
 

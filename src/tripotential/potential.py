@@ -17,9 +17,9 @@ the triangle's side) and n_e the outward unit normal,
 (the classical polygon potential integrals; Wilton et al., IEEE TAP
 32(3), 1984). ``potential_closed`` and ``field_closed`` evaluate them at
 one point, ``potential_field_batch`` over point arrays. The same pass
-decides where the field is defined: h_e L = u x w (u, w from P to the
-edge's endpoints) gives the interior test, and min u x w / L over the
-edges the field's band. Independently, the triangle is the signed
+decides where the field is defined: h_e = u x w / L (u, w from P to
+the edge's endpoints), and min h_e over the edges gives both the
+interior test and the field's band. Independently, the triangle is the signed
 union of the three cones spanned at P by its edges; inside each cone the
 radial part of the integral is exact, which leaves the 1D angular
 integral of the ray length R(phi), integrated numerically as the
@@ -37,11 +37,11 @@ import numpy as np
 
 from .errors import TooCloseToBoundary, ToleranceNotReached, NotInterior
 from .geometry import (
+    BOUNDARY_BAND_RTOL,
     Point2,
     Triangle,
     _clears_boundary,
     _cross,
-    _locate,
     _side_distances,
     diameter,
 )
@@ -121,7 +121,7 @@ def cone_windows(tri: Triangle, p: Point2):
 
 
 def _edge_sums(tri: Triangle, p: Point2):
-    """(V, Ex, Ey, cr_min, tau_min) at p from one log per edge.
+    """(V, Ex, Ey, tau_min) at p from one log per edge.
 
     With u, w the vectors from p to the edge's endpoints (r1, r2 their
     lengths), the small denominator of l_e is formed without
@@ -129,10 +129,10 @@ def _edge_sums(tri: Triangle, p: Point2):
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
-    cr_min and tau_min, the smallest u x w and u x w / L, give the verdicts.
+    tau_min, the smallest u x w / L, gives the verdicts.
     """
     v = fx = fy = 0.0
-    cr_min = tau_min = math.inf
+    tau_min = math.inf
     for v1, v2 in tri.edges():
         ux, uy = v1.x - p.x, v1.y - p.y
         wx, wy = v2.x - p.x, v2.y - p.y
@@ -141,8 +141,6 @@ def _edge_sums(tri: Triangle, p: Point2):
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
         ex, ey = v2.x - v1.x, v2.y - v1.y
         length = math.hypot(ex, ey)
-        if cr < cr_min:
-            cr_min = cr
         tau = cr / length
         if tau < tau_min:
             tau_min = tau
@@ -154,7 +152,7 @@ def _edge_sums(tri: Triangle, p: Point2):
         v += cr * ell
         fx += ey * ell
         fy -= ex * ell
-    return v, fx, fy, cr_min, tau_min
+    return v, fx, fy, tau_min
 
 
 def potential_closed(tri: Triangle, p: Point2) -> float:
@@ -221,10 +219,11 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     TooCloseToBoundary
         If p is interior but within 1e-9 * diameter of a side line.
     """
-    _, ex, ey, cr_min, tau_min = _edge_sums(tri, p)
-    if not _locate(tri, cr_min)[0]:
+    _, ex, ey, tau_min = _edge_sums(tri, p)
+    diam = diameter(tri)
+    if not tau_min > BOUNDARY_BAND_RTOL * diam:
         raise NotInterior(f"field is only defined strictly inside, got {p}")
-    if not tau_min > BOUNDARY_EXCLUSION_RTOL * diameter(tri):
+    if not tau_min > BOUNDARY_EXCLUSION_RTOL * diam:
         raise TooCloseToBoundary(
             f"{p} is within {BOUNDARY_EXCLUSION_RTOL:g} * diameter of the boundary"
         )
@@ -238,7 +237,7 @@ class FieldBatch(NamedTuple):
     are nan exactly where ``field_closed`` raises: outside the interior
     and in the field's exclusion band. The masks carry the same verdicts
     as ``classify_point`` (interior, exterior; neither means the boundary
-    band), from the same pass.
+    band), from the same pass's min tau.
     """
 
     v: np.ndarray
@@ -258,7 +257,7 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     v = fx = fy = 0.0
-    cr_min = tau_min = np.inf
+    tau_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for v1, v2 in tri.edges():
             ux, uy = v1.x - x, v1.y - y
@@ -268,7 +267,6 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
             ex, ey = v2.x - v1.x, v2.y - v1.y
             length = math.hypot(ex, ey)
-            cr_min = np.minimum(cr_min, cr)
             tau_min = np.minimum(tau_min, cr / length)
             s = r1 + r2 + length
             r1r2 = r1 * r2
@@ -277,14 +275,14 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             v = v + np.where(m == 0.0, 0.0, cr * ell)
             fx = fx + ey * ell
             fy = fy - ex * ell
-    interior, exterior = _locate(tri, cr_min)
-    has_field = interior & (tau_min > BOUNDARY_EXCLUSION_RTOL * diameter(tri))
+    diam = diameter(tri)
+    has_field = tau_min > BOUNDARY_EXCLUSION_RTOL * diam
     return FieldBatch(
         v,
         np.where(has_field, fx, math.nan),
         np.where(has_field, fy, math.nan),
-        interior,
-        exterior,
+        tau_min > BOUNDARY_BAND_RTOL * diam,
+        tau_min < -BOUNDARY_BAND_RTOL * diam,
     )
 
 

@@ -51,12 +51,10 @@ from .center import coth_parts, point_from_coth_parts
 from .errors import NoConvergence, NotInterior, ToleranceNotReached, TripotentialError
 from .geometry import (
     Point2,
-    PointLocation,
     Triangle,
     _clears_boundary,
     _side_distances,
     centroid,
-    classify_point,
     diameter,
     inradius,
     side_lengths,
@@ -418,10 +416,10 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     At the V_{-2} extreme point the angle each side subtends divided by
     the area of the corresponding sub-triangle is the same for all three
     sides; the max-min spread of the ratios is returned (0 exactly at
-    that point).
+    that point). As in ``stationarity_residual``, NotInterior marks a
+    point in the exclusion band.
     """
-    if classify_point(tri, p_pt) is not PointLocation.INTERIOR:
-        raise NotInterior(f"{p_pt} is not strictly inside the triangle")
+    _ray_scale(tri, p_pt)
     cones = _cones(tri, p_pt.x, p_pt.y)
     ratios = [abs(delta) / (0.5 * abs(cr)) for _, delta, cr, _, _ in cones]
     return float(max(ratios) - min(ratios))

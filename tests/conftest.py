@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ from tripotential import (
 
 def make_rng(seed):
     return np.random.default_rng(seed)
+
+
+def exact_doubled_area(tri):
+    """Twice the signed area of the stored vertices in exact rational
+    arithmetic: positive exactly when they run counterclockwise."""
+    (ax, ay), (bx, by), (cx, cy) = (
+        (Fraction(v.x), Fraction(v.y)) for v in tri.vertices
+    )
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def random_sides(rng, min_angle=0.35, scale=(0.5, 2.0), scalene_gap=0.0):

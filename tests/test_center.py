@@ -369,8 +369,9 @@ def test_a_failed_solve_caches_nothing(monkeypatch):
 
 
 def test_center_in_the_boundary_band_is_refused(monkeypatch, golden_triangle):
-    # the smallest barycentric coordinate of a point is at most 1/3, so a
-    # band of half the area refuses every center
+    # a point's smallest distance to a side line is at most the inradius,
+    # below half the diameter, so a band of half the diameter refuses
+    # every center
     monkeypatch.setattr(center, "BOUNDARY_BAND_RTOL", 0.5)
     with pytest.raises(TripotentialError, match="not interior"):
         electrostatic_center(golden_triangle)

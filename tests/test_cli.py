@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -530,3 +532,51 @@ def test_failure_prints_one_json_error_on_stdout(capfd, argv):
     assert set(payload) == {"error"}
     for name in ("TypeError", "LinAlgError", "Traceback"):
         assert name not in out and name not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rp-center", "--sides", "4,5,6", "--p", "-2", "--tol", "1e-13"),
+        ("arc", "--sides", "4,5,6", "--p-min", "-1", "--p-max", "2",
+         "--steps", "3", "--tol", "1e-13"),
+    ],
+    ids=" ".join,
+)
+def test_a_tolerance_below_the_riesz_floor_is_refused(capsys, argv):
+    # the Riesz solver's own floor is 1e-12; the CLI passes --tol on as given
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload)
+    assert payload["error"]["type"] == "ValueError"
+    assert "1e-12" in payload["error"]["message"]
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["grid", "--sides", "3,4,5", "--n", "8", "--format", "csv"]) == 2
+
+
+def test_a_reader_that_stops_early_leaves_exit_2_and_no_stderr():
+    # `tripotential grid ... | head -1`: the CSV is far larger than a pipe's
+    # buffer, so the write fails once the reader has gone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])
+    ))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tripotential.cli", "grid", "--sides", "3,4,5",
+         "--n", "128", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"x,y,V,Ex,Ey,inside\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""

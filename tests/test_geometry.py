@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripotential import (
@@ -31,6 +31,7 @@ from tripotential import (
 from tripotential.geometry import heron_area
 
 from conftest import (
+    exact_doubled_area,
     make_rng,
     random_interior_point,
     random_triangle,
@@ -61,14 +62,14 @@ def test_side_lengths_reference_triangle(golden_triangle):
     assert sl.s == pytest.approx((math.sqrt(8) + math.sqrt(5) + 3) / 2, rel=1e-15)
 
 
-def test_side_lengths_cached_and_validated_lazily(golden_triangle):
+def test_side_lengths_cached_and_a_needle_refused_at_construction(golden_triangle):
     assert side_lengths(golden_triangle) is side_lengths(golden_triangle)
-    # A needle passes the collinearity test but fails the side-length
-    # validation: construction succeeds, and every side_lengths call raises.
-    needle = Triangle(Point2(0, 0), Point2(1, 0), Point2(0.5, 1e-7))
-    for _ in range(2):
+    # The side lengths are the one validity test: a needle whose sides
+    # fail it is refused at construction, in every vertex order.
+    needle = (Point2(0, 0), Point2(1, 0), Point2(0.5, 1e-7))
+    for perm in itertools.permutations(needle):
         with pytest.raises(DegenerateTriangle):
-            side_lengths(needle)
+            Triangle(*perm)
 
 
 def test_side_lengths_equilateral_any_pose():
@@ -136,6 +137,26 @@ def test_classify_point(golden_triangle):
     # reflect the centroid across side AB (the x axis here): y -> -y
     g = centroid(tri)
     assert classify_point(tri, Point2(g.x, -g.y)) is PointLocation.EXTERIOR
+
+
+def test_classify_point_band_is_min_tau_against_the_diameter():
+    # side BC on the x axis from the origin and x = 0.5: tau_a is the height
+    # exactly, and the diameter |BC| is 1, so the band's edges are hit to
+    # the bit (0.9e-12 lies inside 1e-12 times the diameter, outside 1e-12
+    # times the height 0.75 over BC)
+    tri = Triangle(Point2(0.375, 0.75), Point2(0.0, 0.0), Point2(1.0, 0.0))
+    band = 1e-12
+    expected = {
+        math.nextafter(band, 1.0): PointLocation.INTERIOR,
+        band: PointLocation.BOUNDARY,
+        0.9e-12: PointLocation.BOUNDARY,
+        0.0: PointLocation.BOUNDARY,
+        -band: PointLocation.BOUNDARY,
+        math.nextafter(-band, -1.0): PointLocation.EXTERIOR,
+    }
+    for height, location in expected.items():
+        assert cartesian_to_trilinear(tri, Point2(0.5, height)).tau_a == height
+        assert classify_point(tri, Point2(0.5, height)) is location, height
 
 
 def test_orientation_normalized_over_permutations():
@@ -318,14 +339,18 @@ def test_orthocenter_circumcenter_euler_line():
     bx=st.floats(-10, 10), by=st.floats(-10, 10),
     cx=st.floats(-10, 10), cy=st.floats(-10, 10),
 )
+# needles that pass an area-versus-longest^2 test but not the side slack
+@example(ax=0.0, ay=0.0, bx=1.0, by=1.192092896e-07, cx=2.0, cy=0.0)
+@example(ax=0.0, ay=0.0, bx=1.0, by=0.0, cx=0.5, cy=1e-7)
 def test_constructor_orientation_hypothesis(ax, ay, bx, by, cx, cy):
-    doubled = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    longest_sq = max(
-        (bx - cx) ** 2 + (by - cy) ** 2,
-        (cx - ax) ** 2 + (cy - ay) ** 2,
-        (ax - bx) ** 2 + (ay - by) ** 2,
-    )
-    if abs(doubled) <= 1e-9 * max(longest_sq, 1e-30):
-        return  # too close to degenerate to be interesting
-    tri = Triangle(Point2(ax, ay), Point2(bx, by), Point2(cx, cy))
-    assert area(tri) > 0
+    # the constructor refuses exactly what SideLengths refuses of the same
+    # distances, and stores everything else counterclockwise: the area is
+    # positive, exactly (in floats it underflows for sides below ~1e-154)
+    A, B, C = Point2(ax, ay), Point2(bx, by), Point2(cx, cy)
+    try:
+        SideLengths(B.distance_to(C), C.distance_to(A), A.distance_to(B))
+    except DegenerateTriangle:
+        with pytest.raises(DegenerateTriangle):
+            Triangle(A, B, C)
+        return
+    assert exact_doubled_area(Triangle(A, B, C)) > 0

@@ -236,7 +236,7 @@ def test_refinement_filter_keeps_what_the_scalar_filter_keeps():
     # exactly, so the margin and the 1e-12 band can be hit to the bit
     tri = Triangle(Point2(0.375, 0.75), Point2(0.0, 0.0), Point2(1.0, 0.0))
     margin = 2.0 * BOUNDARY_EXCLUSION_RTOL * diameter(tri)
-    band = 1e-12 * 0.75  # BOUNDARY_BAND_RTOL times the height over BC
+    band = 1e-12 * diameter(tri)  # classify_point's band
     heights = [
         -1e-13, -0.0, 0.0, 1e-13, 0.5 * band, band, np.nextafter(band, 1.0),
         2.0 * band, np.nextafter(margin, 0.0), margin, np.nextafter(margin, 1.0),

@@ -119,6 +119,23 @@ def test_illuminating_spread_discriminates():
     assert illuminating_spread(eq, centroid(eq)) < 1e-13
 
 
+def test_oracles_refuse_a_point_in_the_exclusion_band():
+    # 1e-10 diameters inside AB of 4,5,6, between the 1e-12 boundary band
+    # and the 1e-9 exclusion band: all three oracles refuse it alike
+    tri = triangle_from_sides(4, 5, 6)
+    A, B = tri.a_vertex, tri.b_vertex
+    ex, ey = B.x - A.x, B.y - A.y
+    inward = 1e-10 * diameter(tri) / math.hypot(ex, ey)  # left of A -> B
+    q = Point2(0.5 * (A.x + B.x) - ey * inward, 0.5 * (A.y + B.y) + ex * inward)
+    for oracle in (
+        lambda: illuminating_spread(tri, q),
+        lambda: stationarity_residual(tri, q, -1.0),
+        lambda: inversion_first_moment(tri, q),
+    ):
+        with pytest.raises(NotInterior):
+            oracle()
+
+
 def test_inversion_centroid_property_at_p_minus_four():
     rng = make_rng(505)
     for _ in range(5):

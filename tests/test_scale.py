@@ -3,12 +3,14 @@ the classical centers and the side-length constructions at triangle sizes
 far from 1 and offsets far beyond the diameter (warnings are errors, see
 pyproject.toml)."""
 
+import itertools
 import math
 
 import pytest
 
 from tripotential import (
     Point2,
+    PointLocation,
     SideLengths,
     Triangle,
     TripotentialError,
@@ -16,6 +18,7 @@ from tripotential import (
     center_function_trilinears,
     centroid,
     circumcenter,
+    classify_point,
     diameter,
     electrostatic_center,
     incenter,
@@ -34,7 +37,7 @@ from tripotential import (
 )
 from tripotential.geometry import area, heron_area
 
-from conftest import make_rng, sliver_triangles
+from conftest import exact_doubled_area, make_rng, sliver_triangles
 
 EXPONENTS = (-150, -110, -70, 70, 110, 150)
 RIESZ_P = (-10.0, -1.0, 0.0, 5.0, 10.0)
@@ -268,3 +271,36 @@ def test_classical_centers_are_scale_free(k):
     for f in (incenter, circumcenter, orthocenter, roundtrip):
         point, ref = f(tri), f(UNIT)
         assert math.hypot(point.x / s - ref.x, point.y / s - ref.y) < 1e-14, k
+
+
+# (0,0), (4,0), (1,3): diameter |BC| = sqrt(18)
+_COVARIANCE_SHAPE = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
+
+
+@pytest.mark.parametrize("diameters_out", [0.0, 1e8])
+@pytest.mark.parametrize("s", [1.0, 1e160, 1e-160])
+def test_vertex_order_covariance(s, diameters_out):
+    # every vertex order, scaled by s and moved diameters_out diameters
+    # along (1, 1): the stored triangle runs counterclockwise, keeps the
+    # first vertex as A, labels every side by its opposite vertex with the
+    # same bits, and locates the centroid, a vertex and the centroid
+    # reflected across AB the same way
+    shift = diameters_out * math.sqrt(18.0) * s
+    pts = [Point2(s * x + shift, s * y + shift) for x, y in _COVARIANCE_SHAPE]
+    g = Point2(s * (5.0 / 3.0) + shift, s + shift)
+    probes = {
+        g: PointLocation.INTERIOR,
+        pts[1]: PointLocation.BOUNDARY,
+        Point2(g.x, shift - s): PointLocation.EXTERIOR,
+    }
+    opposite = None
+    for perm in itertools.permutations(pts):
+        tri = Triangle(*perm)
+        A, B, C = tri.vertices
+        assert exact_doubled_area(tri) > 0
+        assert A == perm[0] and {B, C} == set(perm[1:])
+        labels = {A: tri.sides.a, B: tri.sides.b, C: tri.sides.c}
+        assert labels == {A: B.distance_to(C), B: C.distance_to(A), C: A.distance_to(B)}
+        opposite = opposite or labels
+        assert labels == opposite
+        assert [classify_point(tri, q) for q in probes] == list(probes.values())
