@@ -18,6 +18,7 @@ log form stays close to linear there. By Heron's formula on a, r_B, r_C
 each term T_a is four times the area of PBC (and cyclic): the root's
 terms are the center's barycentric coordinates, and give its point (in
 the local frame, see ``geometry``), its trilinears T_a/a and search value.
+Freeing lambda traces ``lambda_curve``; ``ratio_band_survey`` samples roots.
 
 Numerical care: the differences the equation consumes (u - a, v - w) are
 evaluated through g(x) = coth(x) - 1/x and 1/sinh(x) so that no
@@ -32,8 +33,10 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BracketFailure, NegativeRadicand, TripotentialError
-from .estimates import initial_guess
+from .estimates import initial_guess, lambda_equilateral, shape_parameter
 from .geometry import (
     BOUNDARY_BAND_RTOL,
     Point2,
@@ -56,6 +59,9 @@ __all__ = [
     "stationarity_spreads",
     "center_function_trilinears",
     "kimberling_search_value",
+    "lambda_curve",
+    "RatioBandSummary",
+    "ratio_band_survey",
 ]
 
 
@@ -124,8 +130,9 @@ class LambdaSolution:
 
 def _lhs_terms(
     sides: SideLengths, lam: float
-) -> tuple[tuple[float, float, float], float]:
-    """The three square-root terms of the lambda equation and dLHS/dlambda.
+) -> tuple[tuple[float, float, float], float, tuple[float, float, float, float]]:
+    """The three square-root terms of the lambda equation, dLHS/dlambda,
+    and the ``coth_parts`` they come from.
 
     With t = lambda/2s each term is T_x = x*csch(xt)*sqrt(x^2 - D^2),
     D = y*g(yt) - z*g(zt) and g(u) = coth(u) - 1/u, which keeps both
@@ -168,7 +175,7 @@ def _lhs_terms(
         terms.append(x * csch_x * root)
         # x*coth(xt) = 1/t + x*g(xt)
         dt -= x * csch_x * ((inv_t + gx) * root + diff * ddiff / root)
-    return tuple(terms), dt / (2.0 * sides.s)
+    return tuple(terms), dt / (2.0 * sides.s), (inv_t, ga, gb, gc)
 
 
 def lambda_residual(sides: SideLengths, lam: float) -> float:
@@ -219,7 +226,7 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     lo, hi = 0.0, math.inf
     expansions = 0
     for evals in range(1, _MAX_EVALS + 1):
-        terms, slope = _lhs_terms(sides, lam)
+        terms, slope, parts = _lhs_terms(sides, lam)
         lhs = math.fsum(terms)
         f = lhs - rhs
         if f > 0.0:
@@ -254,7 +261,7 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
     else:
         raise TripotentialError("lambda iteration failed to converge")
 
-    inv_t, ga, gb, gc = coth_parts(sides, lam)
+    inv_t, ga, gb, gc = parts
     return LambdaSolution(
         lam=lam,
         u=inv_t + ga,
@@ -277,11 +284,60 @@ def _root(sides: SideLengths, tol: float) -> LambdaSolution:
     return sol
 
 
+# Samples with t below this are excluded from ratio statistics (0/0).
+_T_CUTOFF = 1e-6
+
+
+@dataclass(frozen=True)
+class RatioBandSummary:
+    """Empirical band of (lambda - L0)/t over sampled triangles."""
+
+    minimum: float
+    maximum: float
+    mean: float
+    n_samples: int
+    n_used: int
+    seed: int
+
+
+def ratio_band_survey(n_triangles: int, seed: int) -> RatioBandSummary:
+    """Sample random triangle shapes and summarize (lambda - L0)/t.
+
+    Triangles are drawn by two angles alpha, beta uniform on (0, pi/2)
+    (every triangle has at least two acute angles, so this covers all
+    shapes up to similarity); sides are sin(alpha) : sin(beta) :
+    sin(gamma). Near-equilateral samples with t < 1e-6 are excluded from
+    the statistics since the ratio degenerates to 0/0 there. Fully
+    deterministic for a fixed seed.
+    """
+    if n_triangles < 100:
+        raise ValueError(f"need at least 100 samples, got {n_triangles}")
+    lam0 = lambda_equilateral()
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 0.5 * math.pi, size=(n_triangles, 2))
+    ratios = []
+    for alpha, beta in angles:
+        gamma = math.pi - alpha - beta
+        sides = SideLengths(math.sin(alpha), math.sin(beta), math.sin(gamma))
+        t = shape_parameter(sides)
+        if t < _T_CUTOFF:
+            continue
+        ratios.append((solve_lambda(sides).lam - lam0) / t)
+    return RatioBandSummary(
+        minimum=min(ratios),
+        maximum=max(ratios),
+        mean=math.fsum(ratios) / len(ratios),
+        n_samples=n_triangles,
+        n_used=len(ratios),
+        seed=seed,
+    )
+
+
 def point_from_coth_parts(
     tri: Triangle, inv_t: float, ga: float, gb: float, gc: float
 ) -> tuple[float, float]:
     """The point whose vertex-distance sums are u = inv_t + ga (and cyclic),
-    in the local frame: ``riesz.lambda_curve``'s point at each lambda.
+    in the local frame: ``lambda_curve``'s point at each lambda.
 
     Subtracting the three vertex-distance circle equations pairwise
     yields a linear system (radical-center style) solved, A at 0, by
@@ -323,6 +379,28 @@ def coth_parts(sides: SideLengths, lam: float) -> tuple[float, float, float, flo
         sides.b * _coth_less_inv(sides.b * t),
         sides.c * _coth_less_inv(sides.c * t),
     )
+
+
+def lambda_curve(
+    tri: Triangle, lambda_values
+) -> list[tuple[float, Point2]]:
+    """The planar curve traced by freeing the lambda parameter.
+
+    For each lambda > 0 the coth quantities u, v, w are formed directly
+    (no root solve) and their vertex-distance circles intersected into a
+    point (off the root the equation's terms do not tile the triangle);
+    at the lambda root this reproduces the electrostatic center, elsewhere
+    it sweeps a curve whose small- and large-lambda limits are classical
+    centers. Stable coth evaluation keeps the extremes usable.
+    """
+    lams = [float(v) for v in lambda_values]
+    if any(not math.isfinite(v) or v <= 0.0 for v in lams):
+        raise ValueError("all lambda values must be positive and finite")
+    sides = side_lengths(tri)
+    return [
+        (lam, tri._from_frame(*point_from_coth_parts(tri, *coth_parts(sides, lam))))
+        for lam in lams
+    ]
 
 
 def electrostatic_center(
@@ -404,6 +482,8 @@ def center_function_trilinears(sides: SideLengths, tol: float = 1e-12) -> Trilin
     of order 1 and symmetric in its last two arguments. f(a, b, c) is the
     equation's term T_a over a, from the root that ``electrostatic_center``
     and ``kimberling_search_value`` share (one solve per sides and tol).
+    So a*tau_a + b*tau_b + c*tau_c = 4*area, twice the exact gauge of
+    ``cartesian_to_trilinear``; the CLI's ``trilinears`` are these values.
     """
     t_a, t_b, t_c = _root(sides, tol).terms
     return Trilinears(t_a / sides.a, t_b / sides.b, t_c / sides.c)

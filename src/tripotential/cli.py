@@ -46,6 +46,8 @@ from .center import (
     center_function_trilinears,
     electrostatic_center,
     kimberling_search_value,
+    lambda_curve,
+    ratio_band_survey,
     solve_lambda,
     stationarity_spreads,
 )
@@ -276,18 +278,11 @@ def _cmd_rp_center(args) -> int:
 
 
 def _arc_rows(tri: Triangle, points: list[riesz.ArcPoint]) -> list[list]:
-    rows = []
-    for ap in points:
-        if ap.point is not None:
-            thomson = riesz.thomson_residual(tri, ap.point)
-            rows.append(
-                [ap.p, ap.point.x, ap.point.y, ap.residual_norm,
-                 ap.iterations, ap.converged, thomson]
-            )
-        else:
-            rows.append([ap.p, None, None, ap.residual_norm,
-                         ap.iterations, ap.converged, None])
-    return rows
+    return [
+        [ap.p, ap.point.x, ap.point.y, ap.residual_norm, ap.iterations,
+         ap.converged, riesz.thomson_residual(tri, ap.point)]
+        for ap in points
+    ]
 
 
 def _cmd_arc(args) -> int:
@@ -322,7 +317,7 @@ def _cmd_lambda_curve(args) -> int:
     if args.include_lambda_max:
         lam_root = solve_lambda(side_lengths(tri), _check_tol(args.tol)).lam
         values = sorted(set(values) | {lam_root})
-    curve = riesz.lambda_curve(tri, values)
+    curve = lambda_curve(tri, values)
     header = ["lambda", "x", "y"]
     rows = [[lam, pt.x, pt.y] for lam, pt in curve]
     return _report(
@@ -399,7 +394,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    summary = estimates.ratio_band_survey(args.n, args.seed)
+    summary = ratio_band_survey(args.n, args.seed)
     report = {
         "command": "survey",
         "n_samples": summary.n_samples,

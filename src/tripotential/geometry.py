@@ -7,9 +7,12 @@ Conventions used throughout the package:
   orientation signs.
 * Side lengths follow the classical labelling ``a = |BC|``, ``b = |CA|``,
   ``c = |AB|``; angles ``alpha, beta, gamma`` sit at vertices A, B, C.
-* Trilinear coordinates are kept in the "exact" gauge: ``tau_a, tau_b,
-  tau_c`` are the actual signed distances from the point to sides BC, CA,
-  AB, so that ``a*tau_a + b*tau_b + c*tau_c == 2*area`` identically.
+* Trilinear coordinates from a point (``cartesian_to_trilinear``) are in
+  the "exact" gauge: ``tau_a, tau_b, tau_c`` are the actual signed
+  distances from the point to sides BC, CA, AB, so that
+  ``a*tau_a + b*tau_b + c*tau_c == 2*area``. The center function
+  (``center.center_function_trilinears``) keeps the paper's gauge, T_a/a,
+  which is twice that: its sum is ``4*area``.
 * Computed points and scale-sensitive values come from the triangle's
   local frame: A at the origin, lengths scaled exactly by the power of
   two 2^-e that brings the diameter into [0.5, 1), so nothing overflows
@@ -98,7 +101,8 @@ class Triangle:
     Any vertex order may be passed in; the constructor swaps two vertices
     if needed so that (A, B, C) runs counterclockwise. The relabelling is
     consistent: side lengths and angle names follow the stored order.
-    Raises DegenerateTriangle if the side lengths fail ``SideLengths``.
+    Raises DegenerateTriangle if the side lengths fail ``SideLengths``,
+    TripotentialError if one exceeds the double range.
     """
 
     a_vertex: Point2
@@ -166,8 +170,10 @@ class SideLengths:
 
     def __post_init__(self):
         a, b, c = self.a, self.b, self.c
-        if not (0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+        if not (0.0 < a and 0.0 < b and 0.0 < c):
             raise DegenerateTriangle(f"side lengths must be positive, got {a}, {b}, {c}")
+        if max(a, b, c) == math.inf:
+            raise TripotentialError(f"side lengths ({a}, {b}, {c}) exceed the double range")
         slack = min(b + c - a, c + a - b, a + b - c)
         if slack <= DEGENERACY_RTOL * max(a, b, c):
             raise DegenerateTriangle(
@@ -184,9 +190,11 @@ class SideLengths:
 class Trilinears:
     """Homogeneous trilinear coordinates; only the ratio is meaningful.
 
-    Producers in this package use the exact gauge (values are the actual
-    signed distances to the sides), which makes numerical comparison
-    between different construction paths well defined.
+    ``cartesian_to_trilinear`` gives the exact gauge (the actual signed
+    distances to the sides, a*tau_a + b*tau_b + c*tau_c = 2*area), which
+    makes numerical comparison between construction paths well defined;
+    ``center_function_trilinears`` gives the center function T_a/a, twice
+    the exact gauge (the sum is 4*area).
     """
 
     tau_a: float
@@ -251,9 +259,25 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
 
 
 def area(tri: Triangle) -> float:
-    """Area of the triangle (half the cross product magnitude)."""
-    A, B, C = tri.vertices
-    return 0.5 * _cross(A.x, A.y, B.x, B.y, C.x, C.y)
+    """Area of the triangle: half the frame's cross product, times 4^e.
+
+    Raises
+    ------
+    TripotentialError
+        If the area exceeds the largest double.
+    """
+    e, bx, by, cx, cy = tri._frame
+    return _area_from_frame(0.5 * _cross(0.0, 0.0, bx, by, cx, cy), e)
+
+
+def _area_from_frame(unit: float, e: int) -> float:
+    """An area measured in a frame scaled by 2^-e, in world units."""
+    try:
+        return math.ldexp(unit, 2 * e)
+    except OverflowError:
+        raise TripotentialError(
+            f"the area {unit!r} * 2**{2 * e} exceeds the largest double"
+        ) from None
 
 
 def heron_area(sides: SideLengths) -> float:
@@ -277,17 +301,14 @@ def heron_area(sides: SideLengths) -> float:
     unit = 0.25 * math.sqrt(
         (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     )
-    try:
-        return math.ldexp(unit, 2 * e)
-    except OverflowError:
-        raise TripotentialError(
-            f"the area {unit!r} * 2**{2 * e} exceeds the largest double"
-        ) from None
+    return _area_from_frame(unit, e)
 
 
 def inradius(tri: Triangle) -> float:
-    """Radius of the inscribed circle, area / semiperimeter."""
-    return area(tri) / side_lengths(tri).s
+    """Radius of the inscribed circle, area / semiperimeter, in the frame."""
+    e, bx, by, cx, cy = tri._frame
+    unit = 0.5 * _cross(0.0, 0.0, bx, by, cx, cy) / math.ldexp(tri.sides.s, -e)
+    return math.ldexp(unit, e)
 
 
 def diameter(tri: Triangle) -> float:
@@ -391,14 +412,19 @@ def cevian_angles(tri: Triangle, p: Point2) -> CevianAngles:
     """
     if classify_point(tri, p) is not PointLocation.INTERIOR:
         raise NotInterior(f"{p} is not strictly inside the triangle")
-    A, B, C = tri.vertices
+    # every coordinate scaled exactly by the frame's 2^-e, so that the
+    # differences' products stay in range
+    k = math.ldexp(1.0, -tri._frame[0])
+    (ax, ay), (bx, by), (cx, cy), (px, py) = (
+        (q.x * k, q.y * k) for q in (*tri.vertices, p)
+    )
     return CevianAngles(
-        alpha1=_angle_between(B.x - A.x, B.y - A.y, p.x - A.x, p.y - A.y),
-        alpha2=_angle_between(p.x - A.x, p.y - A.y, C.x - A.x, C.y - A.y),
-        beta1=_angle_between(C.x - B.x, C.y - B.y, p.x - B.x, p.y - B.y),
-        beta2=_angle_between(p.x - B.x, p.y - B.y, A.x - B.x, A.y - B.y),
-        gamma1=_angle_between(A.x - C.x, A.y - C.y, p.x - C.x, p.y - C.y),
-        gamma2=_angle_between(p.x - C.x, p.y - C.y, B.x - C.x, B.y - C.y),
+        alpha1=_angle_between(bx - ax, by - ay, px - ax, py - ay),
+        alpha2=_angle_between(px - ax, py - ay, cx - ax, cy - ay),
+        beta1=_angle_between(cx - bx, cy - by, px - bx, py - by),
+        beta2=_angle_between(px - bx, py - by, ax - bx, ay - by),
+        gamma1=_angle_between(ax - cx, ay - cy, px - cx, py - cy),
+        gamma2=_angle_between(px - cx, py - cy, bx - cx, by - cy),
     )
 
 

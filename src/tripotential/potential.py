@@ -129,17 +129,23 @@ def _edge_sums(tri: Triangle, p: Point2):
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
-    tau_min, the smallest u x w / L, gives the verdicts.
+    tau_min, the smallest u x w / L, gives the verdicts. p and the vertices
+    are scaled exactly by the frame's 2^-e first, so every difference is
+    the world difference times 2^-e and no product leaves double range; V
+    and tau_min are scaled back at the end.
     """
+    k = math.ldexp(1.0, -tri._frame[0])
+    px, py = p.x * k, p.y * k
     v = fx = fy = 0.0
     tau_min = math.inf
     for v1, v2 in tri.edges():
-        ux, uy = v1.x - p.x, v1.y - p.y
-        wx, wy = v2.x - p.x, v2.y - p.y
+        x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+        ux, uy = x1 - px, y1 - py
+        wx, wy = x2 - px, y2 - py
         cr = ux * wy - uy * wx
         dot = ux * wx + uy * wy
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
-        ex, ey = v2.x - v1.x, v2.y - v1.y
+        ex, ey = x2 - x1, y2 - y1
         length = math.hypot(ex, ey)
         tau = cr / length
         if tau < tau_min:
@@ -152,7 +158,7 @@ def _edge_sums(tri: Triangle, p: Point2):
         v += cr * ell
         fx += ey * ell
         fy -= ex * ell
-    return v, fx, fy, tau_min
+    return v / k, fx, fy, tau_min / k
 
 
 def potential_closed(tri: Triangle, p: Point2) -> float:
@@ -250,22 +256,24 @@ class FieldBatch(NamedTuple):
 def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
-    One pass of ``_edge_sums``'s arithmetic gives V, E and the masks. Where
-    ``field_closed`` would raise, the field is nan. For one point the
-    scalar functions are faster.
+    One pass of ``_edge_sums``'s arithmetic, frame scaling included, gives
+    V, E and the masks. Where ``field_closed`` would raise, the field is
+    nan. For one point the scalar functions are faster.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    k = math.ldexp(1.0, -tri._frame[0])
+    px = np.asarray(x, dtype=float) * k
+    py = np.asarray(y, dtype=float) * k
     v = fx = fy = 0.0
     tau_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
         for v1, v2 in tri.edges():
-            ux, uy = v1.x - x, v1.y - y
-            wx, wy = v2.x - x, v2.y - y
+            x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+            ux, uy = x1 - px, y1 - py
+            wx, wy = x2 - px, y2 - py
             cr = ux * wy - uy * wx
             dot = ux * wx + uy * wy
             r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
-            ex, ey = v2.x - v1.x, v2.y - v1.y
+            ex, ey = x2 - x1, y2 - y1
             length = math.hypot(ex, ey)
             tau_min = np.minimum(tau_min, cr / length)
             s = r1 + r2 + length
@@ -275,6 +283,7 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             v = v + np.where(m == 0.0, 0.0, cr * ell)
             fx = fx + ey * ell
             fy = fy - ex * ell
+    v, tau_min = v / k, tau_min / k
     diam = diameter(tri)
     has_field = tau_min > BOUNDARY_EXCLUSION_RTOL * diam
     return FieldBatch(

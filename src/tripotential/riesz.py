@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .center import coth_parts, point_from_coth_parts
 from .errors import NoConvergence, NotInterior, ToleranceNotReached, TripotentialError
 from .geometry import (
     Point2,
@@ -57,7 +56,6 @@ from .geometry import (
     centroid,
     diameter,
     inradius,
-    side_lengths,
 )
 from .potential import BOUNDARY_EXCLUSION_RTOL, FieldVector, _cones, cone_windows
 from .quadrature import _NODES, _WK, _gk15_panels, integrate_adaptive
@@ -70,7 +68,6 @@ __all__ = [
     "illuminating_spread",
     "inversion_first_moment",
     "potential_arc",
-    "lambda_curve",
     "thomson_residual",
 ]
 
@@ -109,7 +106,7 @@ class ArcPoint:
     """One solved point along the family of V_p extreme points."""
 
     p: float
-    point: Point2 | None
+    point: Point2
     residual_norm: float
     iterations: int
     converged: bool
@@ -552,28 +549,6 @@ def potential_arc(
             else:
                 history.append((ps[i], x))
     return [replace(ap, point=tri._from_frame(ap.point.x, ap.point.y)) for ap in results]
-
-
-def lambda_curve(
-    tri: Triangle, lambda_values
-) -> list[tuple[float, Point2]]:
-    """The planar curve traced by freeing the lambda parameter.
-
-    For each lambda > 0 the coth quantities u, v, w are formed directly
-    (no root solve) and their vertex-distance circles intersected into a
-    point (off the root the equation's terms do not tile the triangle);
-    at the lambda root this reproduces the electrostatic center, elsewhere
-    it sweeps a curve whose small- and large-lambda limits are classical
-    centers. Stable coth evaluation keeps the extremes usable.
-    """
-    lams = [float(v) for v in lambda_values]
-    if any(not math.isfinite(v) or v <= 0.0 for v in lams):
-        raise ValueError("all lambda values must be positive and finite")
-    sides = side_lengths(tri)
-    return [
-        (lam, tri._from_frame(*point_from_coth_parts(tri, *coth_parts(sides, lam))))
-        for lam in lams
-    ]
 
 
 def thomson_residual(tri: Triangle, p_pt: Point2) -> float:

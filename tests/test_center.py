@@ -258,6 +258,22 @@ def test_center_function_trilinears_match_cartesian_path():
         assert tau.tau_c * ratio == pytest.approx(exact.tau_c, rel=1e-9)
 
 
+def test_center_function_gauge_is_twice_the_exact_gauge():
+    # T_a/a (and cyclic): a*tau_a + b*tau_b + c*tau_c = T_a + T_b + T_c is
+    # 4*area at the root, where the exact gauge of the same point sums to
+    # 2*area
+    rng = make_rng(313)
+    for tri in [triangle_from_sides(4, 5, 6)] + [random_triangle(rng) for _ in range(20)]:
+        sides = side_lengths(tri)
+        tau = center_function_trilinears(sides)
+        total = sides.a * tau.tau_a + sides.b * tau.tau_b + sides.c * tau.tau_c
+        assert total == pytest.approx(4.0 * heron_area(sides), rel=2e-12)
+        exact = cartesian_to_trilinear(tri, electrostatic_center(tri)[0])
+        for got, ref in zip((tau.tau_a, tau.tau_b, tau.tau_c),
+                            (exact.tau_a, exact.tau_b, exact.tau_c)):
+            assert got == pytest.approx(2.0 * ref, rel=1e-9)
+
+
 def test_center_function_equilateral_and_symmetry():
     tau = center_function_trilinears(SideLengths(1, 1, 1))
     assert tau.tau_a == pytest.approx(tau.tau_b, rel=1e-12)

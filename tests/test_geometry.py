@@ -14,6 +14,7 @@ from tripotential import (
     SideLengths,
     Triangle,
     Trilinears,
+    TripotentialError,
     area,
     cartesian_to_trilinear,
     centroid,
@@ -103,6 +104,16 @@ def test_triangle_from_sides_6_9_13_canonical_pose():
 def test_triangle_from_sides_equilateral_height():
     tri = triangle_from_sides(1, 1, 1)
     assert tri.a_vertex.y == pytest.approx(math.sqrt(3) / 2, rel=1e-14)
+
+
+def test_a_side_beyond_double_range_is_a_range_error():
+    # B - A overflows to inf: the shape is fine, the input is out of range
+    with pytest.raises(TripotentialError, match="double range") as info:
+        Triangle(Point2(-1e308, 0.0), Point2(1e308, 0.0), Point2(0.0, 1e308))
+    assert not isinstance(info.value, DegenerateTriangle)
+    with pytest.raises(TripotentialError, match="double range") as info:
+        SideLengths(1.0, math.inf, math.inf)
+    assert not isinstance(info.value, DegenerateTriangle)
 
 
 def test_triangle_from_sides_degenerate():

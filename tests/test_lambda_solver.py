@@ -122,7 +122,7 @@ def test_g_prime_against_high_precision(u):
     for sides in FAT:
         for x in (min(sides.a, sides.b, sides.c), max(sides.a, sides.b, sides.c)):
             lam = 2.0 * sides.s * u / x
-            _, slope = center._lhs_terms(sides, lam)
+            _, slope, _ = center._lhs_terms(sides, lam)
             assert slope == pytest.approx(slope_reference(sides, lam), rel=1e-13)
 
 
@@ -130,7 +130,7 @@ def test_g_prime_against_high_precision(u):
 def test_slope_on_slivers_against_high_precision(sides):
     root = solve_lambda(sides).lam
     for lam in (0.5 * root, root, 2.0 * root):
-        _, slope = center._lhs_terms(sides, lam)
+        _, slope, _ = center._lhs_terms(sides, lam)
         assert slope == pytest.approx(slope_reference(sides, lam), rel=1e-8)
 
 
@@ -138,7 +138,7 @@ def test_slope_on_slivers_against_high_precision(sides):
 def test_slope_matches_central_differences(sides):
     root = solve_lambda(sides).lam
     for lam in (0.5 * root, root, 2.0 * root):
-        _, slope = center._lhs_terms(sides, lam)
+        _, slope, _ = center._lhs_terms(sides, lam)
         h = 1e-4 * lam
         fd = lambda_residual(sides, lam + h) - lambda_residual(sides, lam - h)
         fd /= 2 * h
@@ -192,8 +192,8 @@ def test_bracket_rescues_a_bad_slope(monkeypatch):
     lhs_terms = center._lhs_terms
 
     def shallow(sides, lam):
-        terms, slope = lhs_terms(sides, lam)
-        return terms, 1e-3 * slope
+        terms, slope, parts = lhs_terms(sides, lam)
+        return terms, 1e-3 * slope, parts
 
     monkeypatch.setattr(center, "_lhs_terms", shallow)
     for sides, lam in zip(shapes, expected):
@@ -212,6 +212,26 @@ def test_iterations_count_residual_evaluations(monkeypatch):
     for sides in SLIVERS:
         calls.clear()
         assert solve_lambda(sides).iterations == len(calls)
+
+
+def test_the_root_takes_its_coth_parts_from_its_last_evaluation(monkeypatch):
+    # One coth_parts pass per residual evaluation and none after: u, v, w
+    # and the distances come from the evaluation at the accepted lambda.
+    calls = []
+    parts = center.coth_parts
+
+    def counted(sides, lam):
+        calls.append(lam)
+        return parts(sides, lam)
+
+    monkeypatch.setattr(center, "coth_parts", counted)
+    for sides in SLIVERS + FAT:
+        calls.clear()
+        sol = solve_lambda(sides)
+        assert sol.iterations == len(calls) and calls[-1] == sol.lam
+        inv_t, ga, gb, gc = parts(sides, sol.lam)
+        assert (sol.u, sol.v, sol.w) == (inv_t + ga, inv_t + gb, inv_t + gc)
+        assert sol.r_a == 0.5 * (inv_t + gb + gc - ga)
 
 
 def test_center_report_evaluates_the_equation_in_one_solve(monkeypatch):

@@ -1,5 +1,6 @@
 """README's library quickstart runs and prints what its comments say."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -49,3 +50,38 @@ def test_everything_is_reexported_from_the_package():
     assert sorted(tripotential.__all__) == sorted(names)
     assert len(set(names)) == len(names)
     assert all(hasattr(tripotential, name) for name in names)
+
+
+def test_module_graph_is_acyclic_with_the_lambda_family_in_center():
+    """README: ``riesz`` and ``estimates`` do not import ``center``, no
+    module imports inside a function, and the package's modules import
+    each other without a cycle."""
+    import tripotential
+
+    graph = {}
+    for path in Path(tripotential.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        deferred = [
+            node.lineno
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert not deferred, (path.name, deferred)
+        graph[path.stem] = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else
+                         [alias.name for alias in node.names])
+        }
+    assert "center" not in graph["riesz"] | graph["estimates"]
+    assert graph["estimates"] == {"geometry"}
+    graph.pop("__init__")
+    done = set()
+    while graph:  # peel off modules whose imports are all done
+        ready = {name for name, deps in graph.items() if deps <= done}
+        assert ready, f"import cycle among {sorted(graph)}"
+        done |= ready
+        graph = {name: deps for name, deps in graph.items() if name not in ready}

@@ -5,6 +5,7 @@ pyproject.toml)."""
 
 import itertools
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -17,16 +18,21 @@ from tripotential import (
     cartesian_to_trilinear,
     center_function_trilinears,
     centroid,
+    cevian_angles,
     circumcenter,
     classify_point,
     diameter,
     electrostatic_center,
+    field_closed,
     incenter,
+    inradius,
     inversion_first_moment,
     kimberling_search_value,
     lambda_curve,
     orthocenter,
     potential_arc,
+    potential_closed,
+    potential_field_batch,
     rp_center,
     side_lengths,
     solve_lambda,
@@ -284,7 +290,11 @@ def test_vertex_order_covariance(s, diameters_out):
     # along (1, 1): the stored triangle runs counterclockwise, keeps the
     # first vertex as A, labels every side by its opposite vertex with the
     # same bits, and locates the centroid, a vertex and the centroid
-    # reflected across AB the same way
+    # reflected across AB the same way. At the centroid, V, E (scalar and
+    # batch alike), the inradius and the cevian angles match the unit
+    # triangle in the same vertex order, and the area does where it is a
+    # double; the coordinates carry ulp(offset), about 2^-52 * diameters_out
+    # diameters, which the tolerance allows for.
     shift = diameters_out * math.sqrt(18.0) * s
     pts = [Point2(s * x + shift, s * y + shift) for x, y in _COVARIANCE_SHAPE]
     g = Point2(s * (5.0 / 3.0) + shift, s + shift)
@@ -293,8 +303,11 @@ def test_vertex_order_covariance(s, diameters_out):
         pts[1]: PointLocation.BOUNDARY,
         Point2(g.x, shift - s): PointLocation.EXTERIOR,
     }
+    tol = 1e-14 * (1.0 + diameters_out)
+    unit_g = Point2(5.0 / 3.0, 1.0)
     opposite = None
-    for perm in itertools.permutations(pts):
+    for order in itertools.permutations(range(3)):
+        perm = [pts[i] for i in order]
         tri = Triangle(*perm)
         A, B, C = tri.vertices
         assert exact_doubled_area(tri) > 0
@@ -304,3 +317,17 @@ def test_vertex_order_covariance(s, diameters_out):
         opposite = opposite or labels
         assert labels == opposite
         assert [classify_point(tri, q) for q in probes] == list(probes.values())
+        unit = Triangle(*(Point2(*_COVARIANCE_SHAPE[i]) for i in order))
+        v, e, e_unit = potential_closed(tri, g), field_closed(tri, g), field_closed(unit, unit_g)
+        batch = potential_field_batch(tri, [g.x], [g.y])
+        assert (batch.v[0], batch.ex[0], batch.ey[0]) == (v, e.ex, e.ey)
+        assert v / s == pytest.approx(potential_closed(unit, unit_g), rel=tol)
+        assert math.hypot(e.ex - e_unit.ex, e.ey - e_unit.ey) <= tol * e_unit.norm()
+        assert inradius(tri) / s == pytest.approx(inradius(unit), rel=tol)
+        assert astuple(cevian_angles(tri, g)) == pytest.approx(
+            astuple(cevian_angles(unit, unit_g)), abs=tol)
+        if s > 1.0:  # 6e320
+            with pytest.raises(TripotentialError, match="largest double"):
+                area(tri)
+        else:  # 6e-320 is subnormal
+            assert area(tri) == pytest.approx(6.0 * s * s, rel=tol, abs=2.0**-1070)
