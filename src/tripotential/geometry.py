@@ -142,6 +142,12 @@ class Triangle:
         _, bx, by, cx, cy = self._frame
         return Triangle(Point2(0.0, 0.0), Point2(bx, by), Point2(cx, cy))
 
+    @functools.cached_property
+    def _unit_edges(self) -> tuple:
+        """(x1, y1, x2, y2, ux, uy) per edge of ``edges()``, u its direction."""
+        return tuple((v1.x, v1.y, v2.x, v2.y, (v2.x - v1.x) / n, (v2.y - v1.y) / n)
+                     for v1, v2 in self.edges() for n in (v1.distance_to(v2),))
+
     def _to_frame(self, p: Point2) -> Point2:
         """p in frame coordinates."""
         e, A = self._frame[0], self.a_vertex
@@ -179,7 +185,8 @@ class SideLengths:
             raise DegenerateTriangle(
                 f"sides ({a}, {b}, {c}) violate the strict triangle inequality"
             )
-        object.__setattr__(self, "s", 0.5 * (a + b + c))
+        # halved term by term (exact): finite where only the perimeter overflows
+        object.__setattr__(self, "s", 0.5 * a + 0.5 * b + 0.5 * c)
 
     @functools.cached_property
     def _roots(self) -> dict:  # lambda solutions by tol, see center._root
@@ -305,10 +312,11 @@ def heron_area(sides: SideLengths) -> float:
 
 
 def inradius(tri: Triangle) -> float:
-    """Radius of the inscribed circle, area / semiperimeter, in the frame."""
+    """Radius of the inscribed circle, twice the area over the perimeter,
+    both in the frame (the semiperimeter may exceed the largest double)."""
     e, bx, by, cx, cy = tri._frame
-    unit = 0.5 * _cross(0.0, 0.0, bx, by, cx, cy) / math.ldexp(tri.sides.s, -e)
-    return math.ldexp(unit, e)
+    perimeter = sum(math.ldexp(side, -e) for side in (tri.sides.a, tri.sides.b, tri.sides.c))
+    return math.ldexp(_cross(0.0, 0.0, bx, by, cx, cy) / perimeter, e)
 
 
 def diameter(tri: Triangle) -> float:
@@ -320,20 +328,25 @@ def diameter(tri: Triangle) -> float:
 def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     """Euclidean distance from p to the triangle's boundary (3 segments):
     per edge, with u, w from p to its endpoints and e = w - u, |u| if
-    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|. Margin tests use
+    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|, on p and the vertices
+    scaled exactly by the frame's 2^-e so that no product leaves double
+    range; the distance is scaled back. Margin tests use
     ``_clears_boundary`` (min tau) instead."""
+    k = math.ldexp(1.0, -tri._frame[0])
+    px, py = p.x * k, p.y * k
     dist = math.inf
     for v1, v2 in tri.edges():
-        ux, uy = v1.x - p.x, v1.y - p.y
-        wx, wy = v2.x - p.x, v2.y - p.y
-        ex, ey = v2.x - v1.x, v2.y - v1.y
+        x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+        ux, uy = x1 - px, y1 - py
+        wx, wy = x2 - px, y2 - py
+        ex, ey = x2 - x1, y2 - y1
         if ux * ex + uy * ey >= 0.0:
             dist = min(dist, math.hypot(ux, uy))
         elif wx * ex + wy * ey <= 0.0:
             dist = min(dist, math.hypot(wx, wy))
         else:
             dist = min(dist, abs(ux * wy - uy * wx) / math.hypot(ex, ey))
-    return dist
+    return dist / k
 
 
 def classify_point(tri: Triangle, p: Point2) -> PointLocation:

@@ -12,9 +12,10 @@ the correct degenerate form of the condition replaces R^0 by log R (the
 limit kernel of (R^(p+1) - 1)/(p + 1)), which reproduces the negated
 electrostatic field.
 
-``rp_center`` integrates it edge by edge on a fixed rule graded toward
-the foot of the perpendicular (``_edge_rule``), with the exact Jacobian
-from the boundary form (divergence theorem, n_e the outward normal)
+``rp_center`` integrates it edge by edge (``_edge_rule``): the half along
+the edge in closed form, the normal half on a fixed rule graded toward
+the foot of the perpendicular, and the exact Jacobian from the boundary
+form (divergence theorem, n_e the outward normal)
 
     integral of R^(p+1) e^{i phi} dphi
         = (p+1)/p * sum over edges of n_e * integral of |PQ|^p dS
@@ -29,7 +30,7 @@ independent check.
 ``potential_arc`` traces the extreme points over a sweep of exponents by
 predictor-corrector continuation (Allgower & Georg, Introduction to
 Numerical Continuation Methods, 1990): it starts at p = 2, where the
-answer is the centroid, and predicts each next start by gated Lagrange
+answer is the centroid, and predicts each next start by gated Neville
 extrapolation, of degree up to 5, along the points already solved.
 
 Special values: p = 2 lands on the centroid, p = -2 on the equal
@@ -40,6 +41,7 @@ the point itself.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -196,8 +198,7 @@ def _panel_layout(panels: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]
     s1, k the panel's index along its edge. The arrays are shared between
     calls, so they are read-only."""
     edge = np.repeat(np.arange(3), panels)
-    k = np.arange(edge.size) - np.repeat(np.cumsum(panels) - panels, panels)
-    centers = 2.0 * k + 1.0
+    centers = np.concatenate([2.0 * np.arange(n) + 1.0 for n in panels])
     edge.flags.writeable = centers.flags.writeable = False
     return edge, centers
 
@@ -208,64 +209,68 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
 
     Returns (S, magnitude, error, jacobian): S is the integral of
     kern(R/r0) e^{i phi} dphi with r0 the ray scale at p_pt, magnitude
-    the integral of |kern(R/r0)| dphi, error the panels' summed Gauss-7
-    estimate for S, and jacobian d(Re S, Im S)/d(x/r0, y/r0) at fixed r0
-    (whose own variation contributes nothing at a root of S); measuring
-    P in units of r0 keeps the Jacobian free of the triangle's size.
+    the integral of |kern(R/r0)| dphi, error the panels' summed K15 - G7
+    estimate, and jacobian d(Re S, Im S)/d(x/r0, y/r0) at fixed r0 (whose
+    own variation contributes nothing at a root of S).
 
-    Vertices run counterclockwise, so edge (V1, V2) with unit direction
-    u has outward normal n = (u_y, -u_x), and a strictly interior P lies
-    at d = (V1 - P) . n > 0 from its line. With t = d sinh(s) along the
-    edge from the foot of the perpendicular, r = d cosh(s), dphi =
-    ds / cosh(s) and e^{i phi} = n sech(s) + u tanh(s); the edge adds
-    -n (x) integral of kern'(r/r0) e^{i phi} ds to dS/d(P/r0).
-
-    With rho = r/r0, rho sech(s) = d/r0 on the whole edge. For p != -1
-    the integrand of S is therefore (d/r0) rho^p e^{i phi}, one power per
-    node, and the Jacobian's integrand (p+1) rho^p e^{i phi} is the same
-    times (p+1)/(d/r0), so each panel's moment is (p+1)/(d/r0) times its
-    K15 value. For p = -1 the kernel is log rho and kern' = 1/rho.
+    Edge (V1, V2) of the counterclockwise triangle, with unit direction u
+    and outward normal n = (u_y, -u_x), lies at d = (V1 - P) . n > 0. With
+    t = d sinh(s) from the foot of the perpendicular, r = d cosh(s), k =
+    d/r0, rho = r/r0 = k cosh(s), dphi = ds / cosh(s) and e^{i phi} = n
+    sech(s) + u tanh(s), the edge adds n N + u U to S and -n (x) M to
+    dS/d(P/r0), M the integral of kern'(rho) e^{i phi} ds. Only N is
+    integrated on the panels, so the error estimate is N's. For p != -1
+    the integrand of S is k rho^p e^{i phi}, U = (k/p) [rho^p] over the
+    edge's ends (k log(r2/r1) at p = 0) and M = (p+1)/k (n N + u U). At
+    p = -1, kern = log rho and kern' = 1/rho give U = [-sech(s) (log rho
+    + 1)] and M = (n [tanh(s)] - u [sech(s)]) / k.
     """
     width = 2.0 * min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (abs(p) + 1.0))
-    counts, rows = [], []
-    for v1, v2 in tri.edges():
-        length = v1.distance_to(v2)
-        ux, uy = (v2.x - v1.x) / length, (v2.y - v1.y) / length
-        d = (v1.x - p_pt.x) * uy - (v1.y - p_pt.y) * ux
-        s1 = math.asinh(((v1.x - p_pt.x) * ux + (v1.y - p_pt.y) * uy) / d)
-        s2 = math.asinh(((v2.x - p_pt.x) * ux + (v2.y - p_pt.y) * uy) / d)
+    counts, rows, ends = [], [], []
+    for x1, y1, x2, y2, ux, uy in tri._unit_edges:
+        ax, ay, bx, by = x1 - p_pt.x, y1 - p_pt.y, x2 - p_pt.x, y2 - p_pt.y
+        d = ax * uy - ay * ux
+        t1, t2 = ax * ux + ay * uy, bx * ux + by * uy
+        s1, s2 = math.asinh(t1 / d), math.asinh(t2 / d)
         count = (s2 - s1) / width
         if not count <= _MAX_PANELS:
             raise TripotentialError(f"p={p:g} needs {count:.3g} panels on an edge")
-        panels = math.ceil(count)
-        counts.append(panels)
-        rows.append((s1, 0.5 * (s2 - s1) / panels, d / r0,
-                     complex(uy, -ux), complex(ux, uy)))
-    edge, centers = _panel_layout(tuple(counts))
-    # one row per panel: s1, half-width, d/r0, normal, along
-    s1, half, scale, normal, along = np.array(rows)[edge].T
-    half, scale = half.real, scale.real
-    s = (s1.real + centers * half)[:, None] + half[:, None] * _NODES
-    cosh = np.cosh(s)
-    sech = 1.0 / cosh
-    unit = normal[:, None] * sech + along[:, None] * np.tanh(s)
-    # An overflowing kernel leaves a nan error estimate, refused by rp_center.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = scale[:, None] * cosh
+        counts.append(math.ceil(count))
+        k, r1, r2, moment = d / r0, math.hypot(ax, ay), math.hypot(bx, by), None
+        rows.append((s1, 0.5 * (s2 - s1) / counts[-1], k))
         if p == -1.0:
-            kern = np.log(rho) * sech
-            values, errors = _gk15_panels(kern * unit, half)
-            magnitude = half @ (np.abs(kern) @ _WK)
-            moment = half * ((sech * unit) @ _WK) / scale
-        else:
-            kern = scale[:, None] * rho**p  # kern(rho) sech(s) = (d/r0) rho^p
-            values, errors = _gk15_panels(kern * unit, half)
-            magnitude = half @ (kern @ _WK)
-            moment = (p + 1.0) / scale * values
-    gx = -(normal.real @ moment)
-    gy = -(normal.imag @ moment)
-    jac = np.array([[gx.real, gx.imag], [gy.real, gy.imag]])
-    return complex(values.sum()), float(magnitude), float(errors.sum()), jac
+            along = d / r1 * (math.log(r1 / r0) + 1.0) - d / r2 * (math.log(r2 / r0) + 1.0)
+            moment = (t2 / r2 - t1 / r1) / k, (d / r1 - d / r2) / k
+        elif p == 0.0:
+            along = k * math.log(r2 / r1)
+        else:  # expm1 where the ends' powers are close, else their difference
+            rho1, rho2, x = r1 / r0, r2 / r0, p * math.log(r2 / r1)
+            try:
+                jump = rho2**p - rho1**p if abs(x) > 1.0 else rho1**p * math.expm1(x)
+            except OverflowError:  # inf, as numpy gives: the kernel overflows
+                jump = math.inf
+            along = k * jump / p
+        ends.append((ux, uy, k, along, moment))
+    edge, centers = _panel_layout(tuple(counts))
+    s1, half, scale = np.array(rows)[edge].T  # one row per panel
+    cosh = np.cosh((s1 + centers * half)[:, None] + half[:, None] * _NODES)
+    if p == -1.0:
+        kern = np.log(scale[:, None] * cosh) / cosh  # kern(rho) sech(s)
+        magnitude = half @ (np.abs(kern) @ _WK)
+    else:
+        kern = scale[:, None] * (scale[:, None] * cosh) ** p  # k rho^p
+        magnitude = half @ (kern @ _WK)
+    values, errors = _gk15_panels(kern / cosh, half)
+    sx = sy = gxx = gxy = gyx = gyy = 0.0
+    normals = np.bincount(edge, values, 3).tolist()  # N per edge
+    for (ux, uy, k, along, moment), normal in zip(ends, normals):
+        sx += uy * normal + ux * along
+        sy += uy * along - ux * normal
+        mn, mu = moment or ((p + 1.0) / k * normal, (p + 1.0) / k * along)
+        mx, my = uy * mn + ux * mu, uy * mu - ux * mn  # M = n mn + u mu
+        gxx, gxy, gyx, gyy = gxx - uy * mx, gxy - uy * my, gyx + ux * mx, gyy + ux * my
+    jac = np.array([[gxx, gxy], [gyx, gyy]])
+    return complex(sx, sy), float(magnitude), float(errors.sum()), jac
 
 
 def _rescaled(parts, r0: float, expo: float) -> list[float]:
@@ -359,32 +364,33 @@ def rp_center(
         raise NotInterior(f"starting point {x0 or centroid(tri)} lacks interior margin")
 
     best_x, best_norm = x, math.inf
-    for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        val, mag, err, jac = _edge_rule(local, x, p, r0)
-        budget = quad_tol * max(1.0, mag)
-        if not err <= budget:  # also catches a nan estimate
-            raise ToleranceNotReached(
-                f"edge panel quadrature reached {err:.3e} absolute "
-                f"(target {budget:.3e})",
-                achieved=err,
-                target=budget,
-            )
-        norm = abs(val) / mag
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-        if norm < tol:
-            return RpSolveReport(tri._from_frame(x.x, x.y), norm, iteration, p)
-        dx, dy = _newton_step(jac, val)
-        scale = r0  # the Jacobian is per unit r0
-        for _ in range(60):
-            cand = Point2(x.x + scale * dx, x.y + scale * dy)
-            cand_r0 = _admissible_ray_scale(local, cand, diam)
-            if cand_r0 is not None:
-                break
-            scale *= 0.5
-        else:
-            cand, cand_r0 = x, r0  # fully damped; no admissible direction left
-        x, r0 = cand, cand_r0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow: a nan estimate
+        for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
+            val, mag, err, jac = _edge_rule(local, x, p, r0)
+            budget = quad_tol * max(1.0, mag)
+            if not err <= budget:  # also catches a nan estimate
+                raise ToleranceNotReached(
+                    f"edge panel quadrature reached {err:.3e} absolute "
+                    f"(target {budget:.3e})",
+                    achieved=err,
+                    target=budget,
+                )
+            norm = abs(val) / mag
+            if norm < best_norm:
+                best_x, best_norm = x, norm
+            if norm < tol:
+                return RpSolveReport(tri._from_frame(x.x, x.y), norm, iteration, p)
+            dx, dy = _newton_step(jac, val)
+            scale = r0  # the Jacobian is per unit r0
+            for _ in range(60):
+                cand = Point2(x.x + scale * dx, x.y + scale * dy)
+                cand_r0 = _admissible_ray_scale(local, cand, diam)
+                if cand_r0 is not None:
+                    break
+                scale *= 0.5
+            else:
+                cand, cand_r0 = x, r0  # fully damped; no admissible direction left
+            x, r0 = cand, cand_r0
     raise NoConvergence(
         f"no convergence for p={p} after {_MAX_NEWTON_ITERATIONS} iterations "
         f"(best residual {best_norm:.3e})",
@@ -395,15 +401,17 @@ def rp_center(
 
 
 def _newton_step(jac: np.ndarray, val: complex) -> tuple[float, float]:
-    """The solution of jac @ step = -(Re val, Im val): Cramer's rule, or
-    least squares when the determinant is zero or not finite."""
+    """The solution of jac @ step = -(Re val, Im val) by Cramer's rule; by
+    least squares, dropping singular values below 1e-12 of the largest,
+    when the determinant is not finite or within 1e-12 of the entries'
+    squared norm, where it is no more than their rounding."""
     (a, b), (c, d) = jac.tolist()
     det = a * d - b * c
-    if det != 0.0 and math.isfinite(det):
+    if abs(det) > 1e-12 * (a * a + b * b + c * c + d * d) and math.isfinite(det):
         return (b * val.imag - d * val.real) / det, (c * val.real - a * val.imag) / det
     if not np.isfinite(jac).all():
         raise TripotentialError("the edge rule's Jacobian is not finite")
-    step = np.linalg.lstsq(jac, [-val.real, -val.imag], rcond=None)[0]
+    step = np.linalg.lstsq(jac, [-val.real, -val.imag], rcond=1e-12)[0]
     return float(step[0]), float(step[1])
 
 
@@ -449,44 +457,32 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:
     return _rescaled((abs(moment / 3.0),), r0, -3.0)[0]
 
 
-def _extrapolate(history, p: float) -> tuple[float, float]:
-    """The Lagrange polynomial through the points (p_i, x_i) of history,
-    evaluated at p."""
-    x = y = 0.0
-    for j, (pj, qj) in enumerate(history):
-        w = 1.0
-        for m, (pm, _) in enumerate(history):
-            if m != j:
-                w *= (p - pm) / (pj - pm)
-        x += w * qj.x
-        y += w * qj.y
-    return x, y
-
-
 def _predict(tri: Triangle, history, p: float, diam: float) -> Point2:
     """Start for the solve at p from the last converged (p_i, x_i) of one
     direction of a sweep, distinct in p and ordered toward p.
 
-    The extrapolation of degree n through the last n + 1 points is taken
-    if the one of degree n - 1 through the last n lies within 10% of its
-    own step from the previous point, for n = 5, 4, 3, 2 in turn: the
-    highest degree with enough points whose gate passes wins. The
-    accepted start must also be finite and keep the Newton margin;
-    otherwise the previous point is returned.
+    One Neville tableau over the last six points (fewer if there are not
+    as many) gives ext[n], the Lagrange extrapolation to p of degree n
+    through the last n + 1 points. ext[n] is taken if ext[n - 1] lies
+    within 10% of ext[n]'s own step from the previous point, for n = 5,
+    4, 3, 2 in turn: the highest degree with enough points whose gate
+    passes wins. The accepted start must also be finite and keep the
+    Newton margin; otherwise the previous point is returned.
     """
-    prev = history[-1][1]
-    for order in (5, 4, 3, 2):
-        if len(history) <= order:
-            continue
-        hx, hy = _extrapolate(history[-order - 1:], p)
-        lx, ly = _extrapolate(history[-order:], p)
-        if math.hypot(hx - lx, hy - ly) <= 0.1 * math.hypot(hx - prev.x, hy - prev.y):
-            if math.isfinite(hx) and math.isfinite(hy):
-                guess = Point2(hx, hy)
-                if _admissible_ray_scale(tri, guess, diam) is not None:
-                    return guess
+    dp = [p - hp for hp, _ in history[-6:]]
+    row = [complex(q.x, q.y) for _, q in history[-6:]]
+    ext = [row[-1]]
+    for j in range(1, len(row)):
+        for i in range(len(row) - j):  # row[i]: through points i..i+j
+            row[i] = (dp[i] * row[i + 1] - dp[i + j] * row[i]) / (dp[i] - dp[i + j])
+        ext.append(row[-1 - j])
+    for n in range(min(5, len(ext) - 1), 1, -1):
+        if abs(ext[n] - ext[n - 1]) <= 0.1 * abs(ext[n] - ext[0]):
+            guess = Point2(ext[n].real, ext[n].imag) if cmath.isfinite(ext[n]) else None
+            if guess is not None and _admissible_ray_scale(tri, guess, diam) is not None:
+                return guess
             break
-    return prev
+    return history[-1][1]
 
 
 def potential_arc(

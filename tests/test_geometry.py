@@ -88,6 +88,8 @@ def test_sides_6_9_13_are_constructible():
     # 6 + 9 > 13 holds, so this is a valid (obtuse) triangle.
     sl = SideLengths(6, 9, 13)
     assert sl.s == 14.0
+    # a finite semiperimeter whose perimeter exceeds the largest double
+    assert SideLengths(0.7e308, 0.7e308, 0.7e308).s == 1.05e308
 
 
 def test_triangle_from_sides_6_9_13_canonical_pose():
@@ -139,6 +141,12 @@ def test_inradius_examples():
     assert inradius(triangle_from_sides(6, 9, 13)) == pytest.approx(
         SQ560 / 14.0, rel=1e-14
     )
+    # sides near the largest double: this isosceles triangle's
+    # semiperimeter exceeds it, its inradius does not
+    huge = Triangle(Point2(0.0, 0.0), Point2(1.3e308, 0.0), Point2(0.65e308, 1.1e308))
+    leg = math.hypot(0.65, 1.1)
+    assert huge.sides.s == math.inf
+    assert inradius(huge) == pytest.approx(0.65 * 1.1 / (0.65 + leg) * 1e308, rel=1e-14)
 
 
 def test_classify_point(golden_triangle):

@@ -386,11 +386,11 @@ def _angular_reference(tri, q, p):
     return total
 
 
-def _inside_edge(tri, v1, v2, distance):
-    """The point `distance` inside the midpoint of edge (v1, v2)."""
+def _inside_edge(tri, v1, v2, distance, at=0.5):
+    """The point `distance` inside the point at fraction `at` of edge (v1, v2)."""
     length = v1.distance_to(v2)
     nx, ny = -(v2.y - v1.y) / length, (v2.x - v1.x) / length
-    mx, my = 0.5 * (v1.x + v2.x), 0.5 * (v1.y + v2.y)
+    mx, my = (1.0 - at) * v1.x + at * v2.x, (1.0 - at) * v1.y + at * v2.y
     g = centroid(tri)
     if (g.x - mx) * nx + (g.y - my) * ny < 0.0:
         nx, ny = -nx, -ny
@@ -457,6 +457,77 @@ def test_edge_rule_jacobian_matches_central_differences():
             if p != -1.0:
                 jac = jac * r0 ** (p + 1.0)
             assert np.abs(jac - fd).max() <= 1e-5 * np.abs(fd).max(), p
+
+
+# the 21 integer exponents of the 81-step arc, and four more around 0 and -1
+CLOSED_FORM_EXPONENTS = tuple(float(p) for p in range(-10, 11)) + (-3.5, -0.5, 1e-9, 0.7)
+
+
+def _dphi_unit(s):
+    """e^{i phi} dphi/ds in an edge's frame, normal + 1j * along parts."""
+    return (1.0 + 1j * np.sinh(s)) / np.cosh(s) ** 2
+
+
+def _s_reference(tri, q, p, r0, abs_tol):
+    """S of the edge rule and its Jacobian, both halves of every edge by
+    adaptive quadrature in s, split where an integrand changes sign: at
+    the foot of the perpendicular, and where rho = 1 at p = -1. Each
+    piece of S is integrated to abs_tol, and at p = -1 each piece of the
+    Jacobian's moments to 1e-15."""
+    total, jac = 0j, np.zeros((2, 2))
+    for v1, v2 in tri.edges():
+        length = v1.distance_to(v2)
+        ux, uy = (v2.x - v1.x) / length, (v2.y - v1.y) / length
+        d = (v1.x - q.x) * uy - (v1.y - q.y) * ux
+        s1, s2 = (math.asinh(((v.x - q.x) * ux + (v.y - q.y) * uy) / d) for v in (v1, v2))
+        k = d / r0
+        cuts = [0.0]
+        if p == -1.0 and k < 1.0:
+            cuts += [math.acosh(1.0 / k), -math.acosh(1.0 / k)]
+        knots = sorted([s1, s2] + [c for c in cuts if s1 < c < s2])
+
+        def integral(f, tol=abs_tol):
+            return sum(
+                integrate_adaptive(f, a, b, abs_tol=tol).value
+                for a, b in zip(knots, knots[1:])
+            )
+
+        if p == -1.0:
+            halves = integral(lambda s: np.log(k * np.cosh(s)) * _dphi_unit(s))
+            moment = integral(_dphi_unit, 1e-15) / k  # kern' = 1/rho
+        else:
+            halves = integral(lambda s: (k * np.cosh(s)) ** (p + 1.0) * _dphi_unit(s))
+            moment = (p + 1.0) / k * halves  # kern' = (p+1) rho^p
+        n, u = np.array([uy, -ux]), np.array([ux, uy])
+        total += complex(*(n * halves.real + u * halves.imag))
+        jac -= np.outer(n, n * moment.real + u * moment.imag)
+    return total, jac
+
+
+def test_edge_rule_closed_forms_match_quadrature_in_s():
+    # the along half of S for every p, and at p = -1 the Jacobian too, are
+    # closed forms in the edge rule; the reference integrates them in s,
+    # at points from 1e-2 to 2e-6 diameters inside three points of each
+    # edge, and the rule's normal half on its panels with them
+    for sides in ((4, 5, 6), (1, 1, 1.9), (3, 4, 5)):
+        tri = triangle_from_sides(*sides)
+        points = [
+            _inside_edge(tri, v1, v2, rel * diameter(tri), at)
+            for v1, v2 in tri.edges()
+            for at in (0.37, 0.5, 0.9)
+            for rel in (1e-2, 1e-4, 2e-6)
+        ]
+        # far below -1 next to a vertex the ends' powers differ by more
+        # than expm1 can hold
+        g, B = centroid(tri), tri.vertices[1]
+        vertex = Point2(B.x + 0.05 * (g.x - B.x), B.y + 0.05 * (g.y - B.y))
+        cases = [(q, p) for q in points for p in CLOSED_FORM_EXPONENTS] + [(vertex, -300.0)]
+        for q, p in cases:
+            r0 = rz._ray_scale(tri, q)
+            value, mag, _, jac = rz._edge_rule(tri, q, p, r0)
+            ref, ref_jac = _s_reference(tri, q, p, r0, 1e-14 * mag)
+            assert abs(value - ref) <= 1e-13 * mag, (sides, q, p)
+            assert np.abs(jac - ref_jac).max() <= 1e-11 * np.abs(ref_jac).max(), (sides, q, p)
 
 
 def test_rp_center_raises_when_the_panel_rule_is_too_coarse(monkeypatch):
@@ -609,6 +680,18 @@ def test_singular_jacobian_takes_the_least_squares_step(monkeypatch):
     assert rep.residual_norm < 1e-10
     point, _ = electrostatic_center(tri)
     assert rep.point.distance_to(point) < 1e-8 * diameter(tri)
+
+
+def test_lone_solves_far_below_minus_one_converge_from_the_centroid():
+    # there the nearest edge dominates the Jacobian and its determinant is
+    # rounding noise; Cramer's rule on it walked these solves into
+    # NoConvergence, while the arc's continuation reached every point
+    tri = triangle_from_sides(1, 1, 1.9)
+    arc = {ap.p: ap for ap in potential_arc(tri, [float(p) for p in range(-201, 3)])}
+    for p in (-110.0, -166.0, -201.0):
+        assert arc[p].converged
+        rep = rp_center(tri, p)
+        assert rep.point.distance_to(arc[p].point) < 1e-9 * diameter(tri), p
 
 
 def test_admissibility_matches_classify_and_boundary_distance():

@@ -22,6 +22,7 @@ from tripotential import (
     circumcenter,
     classify_point,
     diameter,
+    distance_to_boundary,
     electrostatic_center,
     field_closed,
     incenter,
@@ -291,10 +292,11 @@ def test_vertex_order_covariance(s, diameters_out):
     # first vertex as A, labels every side by its opposite vertex with the
     # same bits, and locates the centroid, a vertex and the centroid
     # reflected across AB the same way. At the centroid, V, E (scalar and
-    # batch alike), the inradius and the cevian angles match the unit
-    # triangle in the same vertex order, and the area does where it is a
-    # double; the coordinates carry ulp(offset), about 2^-52 * diameters_out
-    # diameters, which the tolerance allows for.
+    # batch alike), the inradius, the distance to the boundary and the
+    # cevian angles match the unit triangle in the same vertex order, and
+    # the area does where it is a double; the coordinates carry
+    # ulp(offset), about 2^-52 * diameters_out diameters, which the
+    # tolerance allows for.
     shift = diameters_out * math.sqrt(18.0) * s
     pts = [Point2(s * x + shift, s * y + shift) for x, y in _COVARIANCE_SHAPE]
     g = Point2(s * (5.0 / 3.0) + shift, s + shift)
@@ -324,6 +326,8 @@ def test_vertex_order_covariance(s, diameters_out):
         assert v / s == pytest.approx(potential_closed(unit, unit_g), rel=tol)
         assert math.hypot(e.ex - e_unit.ex, e.ey - e_unit.ey) <= tol * e_unit.norm()
         assert inradius(tri) / s == pytest.approx(inradius(unit), rel=tol)
+        assert distance_to_boundary(tri, g) / s == pytest.approx(
+            distance_to_boundary(unit, unit_g), rel=tol)
         assert astuple(cevian_angles(tri, g)) == pytest.approx(
             astuple(cevian_angles(unit, unit_g)), abs=tol)
         if s > 1.0:  # 6e320
