@@ -16,14 +16,14 @@ or output error (e.g. ``--out`` into a missing directory, a stdout
 closed by its reader, or an overflow of the lambda estimate at sizes
 beyond 1e+-100). On those errors a machine-readable ``{"error": ...}``
 object is printed to stdout, if it is still open.
-``grid`` rows come from the array kernel
-``potential_field_batch``, evaluated and streamed (CSV) block by block of
-whole grid rows once every input has been validated. Every row carries the
-closed-form potential, boundary rows included; rows within 1e-9 * diameter
-of the boundary, and exterior rows, leave the field columns empty (the
-field diverges at the boundary). Outputs are deterministic for identical
-flags; JSON numbers use shortest round-trip formatting,
-CSV uses ``,`` separators and ``.`` decimal points regardless of locale.
+``grid`` rows come from the array kernel ``potential_field_batch``, block by
+block of whole grid rows once every input has been validated; CSV formats
+each block column by column and writes it in one piece. Every row carries
+the closed-form potential, boundary rows included; rows within 1e-9 *
+diameter of the boundary, and exterior rows, leave the field columns empty
+(the field diverges at the boundary). Outputs are deterministic for
+identical flags; JSON numbers use shortest round-trip formatting, CSV uses
+``,`` separators and ``.`` decimal points regardless of locale.
 """
 
 from __future__ import annotations
@@ -331,23 +331,16 @@ _GRID_BLOCK_POINTS = 4096
 
 
 def _grid_blocks(tri: Triangle, xs: list[float], ys: list[float]):
-    """Yield (y values, V, Ex, Ey, inside) per block of whole grid rows.
-
-    Per-point columns run in row-major order; Ex and Ey are None where
-    the field is absent (outside, or in the field's boundary band).
-    """
+    """Yield (y values, FieldBatch) per block of whole grid rows, its
+    points in row-major order."""
     n = len(xs)
     rows = max(1, _GRID_BLOCK_POINTS // n)
     x_block = np.array(xs * rows)
     for j0 in range(0, len(ys), rows):
         y_rows = ys[j0:j0 + rows]
-        px = x_block[:n * len(y_rows)]
-        py = np.repeat(y_rows, n)
-        batch = potential_field_batch(tri, px, py)
-        no_field = np.isnan(batch.ex)
-        ex = np.where(no_field, None, batch.ex).tolist()
-        ey = np.where(no_field, None, batch.ey).tolist()
-        yield y_rows, batch.v.tolist(), ex, ey, batch.interior.astype(int).tolist()
+        yield y_rows, potential_field_batch(
+            tri, x_block[:n * len(y_rows)], np.repeat(y_rows, n)
+        )
 
 
 def _cmd_grid(args) -> int:
@@ -367,9 +360,12 @@ def _cmd_grid(args) -> int:
     blocks = _grid_blocks(tri, xs, ys)
     if args.format == "json":
         rows = []
-        for y_rows, *columns in blocks:
+        for y_rows, batch in blocks:
+            ex, ey = (np.where(np.isnan(batch.ex), None, f).tolist()
+                      for f in (batch.ex, batch.ey))
             points = ((x, y) for y in y_rows for x in xs)
-            rows.extend([x, y, *values] for (x, y), *values in zip(points, *columns))
+            rows.extend([x, y, *values] for (x, y), *values in zip(
+                points, batch.v.tolist(), ex, ey, batch.interior.astype(int).tolist()))
         report = {
             "command": "grid",
             "triangle": _triangle_info(tri),
@@ -378,18 +374,22 @@ def _cmd_grid(args) -> int:
         }
         _emit(json.dumps(report, indent=2), args.out)
         return 0
-    # CSV is written block by block; x and y strings repeat, so format once.
-    x_text = [_fmt(x) for x in xs]
+    # CSV by columns, one join per block: one repr per number, x and y
+    # cells formed once, a constant tail for each row without a field.
+    x_cells = [repr(x) + "," for x in xs]
     with _output(args.out) as fh:
         fh.write(",".join(header) + "\n")
-        for y_rows, v, ex, ey, inside in blocks:
-            y_text = [t for y in y_rows for t in [_fmt(y)] * n]
-            fh.write("".join(
-                f"{x},{y},{vk!r},{_fmt(exk)},{_fmt(eyk)},{ik}\n"
-                for x, y, vk, exk, eyk, ik in zip(
-                    x_text * len(y_rows), y_text, v, ex, ey, inside
-                )
-            ))
+        for y_rows, batch in blocks:
+            tails = np.array([",,,0\n", ",,,1\n"], dtype=object)[batch.interior.astype(int)]
+            field = ~np.isnan(batch.ex)
+            tails[field] = [f",{ex!r},{ey!r},1\n" for ex, ey in zip(
+                batch.ex[field].tolist(), batch.ey[field].tolist())]
+            cells = [""] * (4 * len(tails))
+            cells[0::4] = x_cells * len(y_rows)
+            cells[1::4] = [t for y in y_rows for t in [repr(y) + ","] * n]
+            cells[2::4] = [repr(v) for v in batch.v.tolist()]
+            cells[3::4] = tails.tolist()
+            fh.write("".join(cells))
     return 0
 
 

@@ -67,6 +67,11 @@ DEGENERACY_RTOL = 1e-12
 # Half-width of classify_point's boundary band, times the diameter.
 BOUNDARY_BAND_RTOL = 1e-12
 
+# A point more than 2^510 frame units from A in x or y is far: products
+# of its differences would leave the double range, and the triangle is a
+# point to double precision (every distance to it is |P - A|).
+_FAR_FRAME_EXPONENT = 510
+
 
 @dataclass(frozen=True)
 class Point2:
@@ -147,6 +152,21 @@ class Triangle:
         """(x1, y1, x2, y2, ux, uy) per edge of ``edges()``, u its direction."""
         return tuple((v1.x, v1.y, v2.x, v2.y, (v2.x - v1.x) / n, (v2.y - v1.y) / n)
                      for v1, v2 in self.edges() for n in (v1.distance_to(v2),))
+
+    @functools.cached_property
+    def _far_offset(self) -> float:
+        """The offset from A in x or y beyond which a point is far
+        (``_FAR_FRAME_EXPONENT``); inf where that exceeds the doubles."""
+        e = self._frame[0] + _FAR_FRAME_EXPONENT
+        return math.ldexp(1.0, e) if e < 1024 else math.inf
+
+    def _far_quarter_distance(self, x: float, y: float) -> float:
+        """|(x, y) - A| / 4 if the point is far, else 0.0; quartered so
+        that it cannot overflow."""
+        A, offset = self.a_vertex, self._far_offset
+        if not (abs(x - A.x) > offset or abs(y - A.y) > offset):
+            return 0.0
+        return math.hypot(0.25 * x - 0.25 * A.x, 0.25 * y - 0.25 * A.y)
 
     def _to_frame(self, p: Point2) -> Point2:
         """p in frame coordinates."""
@@ -330,8 +350,16 @@ def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     per edge, with u, w from p to its endpoints and e = w - u, |u| if
     u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|, on p and the vertices
     scaled exactly by the frame's 2^-e so that no product leaves double
-    range; the distance is scaled back. Margin tests use
+    range; the distance is scaled back. A far point's distance is |p - A|
+    (TripotentialError past the largest double). Margin tests use
     ``_clears_boundary`` (min tau) instead."""
+    quarter = tri._far_quarter_distance(p.x, p.y)
+    if quarter:
+        try:
+            return math.ldexp(quarter, 2)
+        except OverflowError:
+            raise TripotentialError(
+                f"the distance from {p} exceeds the largest double") from None
     k = math.ldexp(1.0, -tri._frame[0])
     px, py = p.x * k, p.y * k
     dist = math.inf
@@ -352,7 +380,9 @@ def distance_to_boundary(tri: Triangle, p: Point2) -> float:
 def classify_point(tri: Triangle, p: Point2) -> PointLocation:
     """Locate p by its smallest signed distance to the side lines, min tau:
     Interior above BOUNDARY_BAND_RTOL * diameter, Exterior below minus
-    that, Boundary in between."""
+    that, Boundary in between; a far point is Exterior."""
+    if tri._far_quarter_distance(p.x, p.y):
+        return PointLocation.EXTERIOR
     tau_min = min(_side_distances(tri, p.x, p.y))
     band = BOUNDARY_BAND_RTOL * diameter(tri)
     if tau_min > band:
@@ -393,16 +423,18 @@ def trilinear_to_cartesian(tri: Triangle, t: Trilinears) -> Point2:
     """Cartesian point for trilinears t (any gauge).
 
     Uses the fact that (a*tau_a : b*tau_b : c*tau_c) are barycentric
-    coordinates; with A at the frame's origin only B and C weigh in.
+    coordinates, here with the frame's sides a * 2^-e (exact, and in range
+    at every size); with A at the frame's origin only B and C weigh in.
 
     Raises
     ------
     DegenerateTrilinears
         If a*tau_a + b*tau_b + c*tau_c vanishes (point at infinity).
     """
-    _, bx, by, cx, cy = tri._frame
+    e, bx, by, cx, cy = tri._frame
     sl = side_lengths(tri)
-    wa, wb, wc = sl.a * t.tau_a, sl.b * t.tau_b, sl.c * t.tau_c
+    wa, wb, wc = (math.ldexp(side, -e) * tau for side, tau in (
+        (sl.a, t.tau_a), (sl.b, t.tau_b), (sl.c, t.tau_c)))
     den = wa + wb + wc
     scale = abs(wa) + abs(wb) + abs(wc)
     if abs(den) <= 1e-14 * scale:
@@ -449,7 +481,17 @@ def vertex_distances(tri: Triangle, p: Point2) -> tuple[float, float, float]:
 
 def centroid(tri: Triangle) -> Point2:
     A, B, C = tri.vertices
-    return Point2((A.x + B.x + C.x) / 3.0, (A.y + B.y + C.y) / 3.0)
+    return Point2(_mean3(A.x, B.x, C.x), _mean3(A.y, B.y, C.y))
+
+
+def _mean3(a: float, b: float, c: float) -> float:
+    """(a + b + c) / 3; a sum past the largest double is taken with every
+    term scaled exactly by the largest one's 2^-m."""
+    total = a + b + c
+    if math.isfinite(total):
+        return total / 3.0
+    m = math.frexp(max(abs(a), abs(b), abs(c)))[1]
+    return math.ldexp((math.ldexp(a, -m) + math.ldexp(b, -m) + math.ldexp(c, -m)) / 3.0, m)
 
 
 def incenter(tri: Triangle) -> Point2:

@@ -132,8 +132,13 @@ def _edge_sums(tri: Triangle, p: Point2):
     tau_min, the smallest u x w / L, gives the verdicts. p and the vertices
     are scaled exactly by the frame's 2^-e first, so every difference is
     the world difference times 2^-e and no product leaves double range; V
-    and tau_min are scaled back at the end.
+    and tau_min are scaled back at the end. A far point (see
+    ``Triangle._far_quarter_distance``) sees a point charge: V = area / |p - A|,
+    no field, and tau_min = -inf.
     """
+    quarter = tri._far_quarter_distance(p.x, p.y)
+    if quarter:
+        return _far_potential(tri, quarter), math.nan, math.nan, -math.inf
     k = math.ldexp(1.0, -tri._frame[0])
     px, py = p.x * k, p.y * k
     v = fx = fy = 0.0
@@ -159,6 +164,14 @@ def _edge_sums(tri: Triangle, p: Point2):
         fx += ey * ell
         fy -= ex * ell
     return v / k, fx, fy, tau_min / k
+
+
+def _far_potential(tri: Triangle, quarter, ldexp=math.ldexp):
+    """area / |p - A| from quarter = |p - A| / 4 (np.ldexp for arrays):
+    right to rounding at a far point, whose distance to every point of the
+    triangle is |p - A| to 2^-510 relative."""
+    e, bx, by, cx, cy = tri._frame
+    return ldexp(0.5 * _cross(0.0, 0.0, bx, by, cx, cy) / quarter, 2 * e - 2)
 
 
 def potential_closed(tri: Triangle, p: Point2) -> float:
@@ -257,12 +270,22 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     """``potential_closed`` and ``field_closed`` over point arrays at once.
 
     One pass of ``_edge_sums``'s arithmetic, frame scaling included, gives
-    V, E and the masks. Where ``field_closed`` would raise, the field is
-    nan. For one point the scalar functions are faster.
+    V, E and the masks; far points, if the arrays' extremes admit any, take
+    the pass at A and then ``_edge_sums``'s point-charge values. Where
+    ``field_closed`` would raise, the field is nan. For one point the
+    scalar functions are faster.
     """
     k = math.ldexp(1.0, -tri._frame[0])
-    px = np.asarray(x, dtype=float) * k
-    py = np.asarray(y, dtype=float) * k
+    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    A, far = tri.a_vertex, None
+    if px.size and py.size and any(  # the extremes hold the farthest offsets
+        tri._far_quarter_distance(x, y)
+        for x in (px.min(), px.max()) for y in (py.min(), py.max())
+    ):
+        quarter = np.vectorize(tri._far_quarter_distance)(px, py)
+        far = quarter > 0.0
+        px, py = np.where(far, A.x, px), np.where(far, A.y, py)
+    px, py = px * k, py * k
     v = fx = fy = 0.0
     tau_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -284,6 +307,9 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
             fx = fx + ey * ell
             fy = fy - ex * ell
     v, tau_min = v / k, tau_min / k
+    if far is not None:
+        v = np.where(far, _far_potential(tri, np.where(far, quarter, np.inf), np.ldexp), v)
+        tau_min = np.where(far, -np.inf, tau_min)
     diam = diameter(tri)
     has_field = tau_min > BOUNDARY_EXCLUSION_RTOL * diam
     return FieldBatch(

@@ -317,6 +317,17 @@ def test_grid_resolution_validation(tmp_path, capsys):
         assert not target.exists()
 
 
+def _assert_csv_pins_json_rows(out_csv, payload):
+    # each CSV line is its JSON row's text: shortest round-trip repr per
+    # number, empty cells for absent field values, the inside digit
+    lines = out_csv.splitlines()
+    assert lines[0].split(",") == payload["header"]
+    assert len(lines) == 1 + len(payload["rows"])
+    for line, row in zip(lines[1:], payload["rows"]):
+        cells = ("" if v is None else repr(v) for v in row[:5])
+        assert line == ",".join(cells) + "," + str(row[5])
+
+
 def test_grid_json_csv_and_out_file_agree(tmp_path, capsys):
     argv = ("grid", "--vertices", "-1,0", "2,0", "0,2", "--n", "80")
     code, out_json = run_cli(capsys, *argv)
@@ -325,17 +336,8 @@ def test_grid_json_csv_and_out_file_agree(tmp_path, capsys):
     validate(payload)
     code, out_csv = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
-    lines = out_csv.splitlines()
-    assert lines[0].split(",") == payload["header"]
-
-    def parse(field):
-        return None if field == "" else float(field)
-
-    rows = []
-    for line in lines[1:]:
-        *values, inside = line.split(",")
-        rows.append([parse(f) for f in values] + [int(inside)])
-    assert rows == payload["rows"]
+    _assert_csv_pins_json_rows(out_csv, payload)
+    rows = payload["rows"]
     assert len(rows) == 80 * 80  # more than one block of grid rows
     assert any(r[3] is None for r in rows) and any(r[3] is not None for r in rows)
     for fmt, printed in (("json", out_json), ("csv", out_csv)):
@@ -343,6 +345,31 @@ def test_grid_json_csv_and_out_file_agree(tmp_path, capsys):
         code, out = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_grid_csv_pins_every_row_kind(capsys):
+    # The grid depends only on the bounding box [0, 1]^2, so C = (cx, 1)
+    # can put side BC 1e-10 to the right of the node at (0.64, 0.5467):
+    # an interior row inside the field's band (inside 1, no field), beside
+    # rows with a field and exterior rows.
+    def grid(cx, fmt):
+        code, out = run_cli(
+            capsys, "grid", "--vertices", "0,0", "1,0", f"{cx!r},1", "--n", "16",
+            "--format", fmt,
+        )
+        assert code == 0
+        return out
+
+    x, y = json.loads(grid(0.5, "json"))["rows"][8 * 16 + 9][:2]
+    cx = 1.0 + (x + 1e-10 - 1.0) / y
+    payload = json.loads(grid(cx, "json"))
+    validate(payload)
+    _assert_csv_pins_json_rows(grid(cx, "csv"), payload)
+    rows = payload["rows"]
+    assert rows[8 * 16 + 9][:2] == [x, y]
+    assert rows[8 * 16 + 9][3:] == [None, None, 1]
+    assert any(r[3] is not None and r[5] == 1 for r in rows)
+    assert any(r[3] is None and r[5] == 0 for r in rows)
 
 
 def test_grid_row_on_side_next_to_vertex_has_finite_potential(capsys):

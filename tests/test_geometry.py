@@ -147,6 +147,11 @@ def test_inradius_examples():
     leg = math.hypot(0.65, 1.1)
     assert huge.sides.s == math.inf
     assert inradius(huge) == pytest.approx(0.65 * 1.1 / (0.65 + leg) * 1e308, rel=1e-14)
+    # its coordinate sums overflow too: the centroid and the incenter's
+    # barycentric weights are scaled exactly by powers of two
+    g, i = centroid(huge), incenter(huge)
+    assert (g.x, g.y) == pytest.approx((0.65e308, 1.1e308 / 3.0), rel=1e-15)
+    assert (i.x, i.y) == pytest.approx((0.65e308, inradius(huge)), rel=1e-15)
 
 
 def test_classify_point(golden_triangle):

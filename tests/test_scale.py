@@ -10,6 +10,7 @@ from dataclasses import astuple
 import pytest
 
 from tripotential import (
+    NotInterior,
     Point2,
     PointLocation,
     SideLengths,
@@ -183,6 +184,38 @@ def test_an_area_beyond_double_range_is_a_typed_error():
     ):
         with pytest.raises(TripotentialError, match="area"):
             build()
+
+
+_RIGHT = Triangle(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
+_TINY_RIGHT = Triangle(Point2(0.0, 0.0), Point2(1e-300, 0.0), Point2(0.0, 1e-300))
+
+
+@pytest.mark.parametrize("tri, p, v", [
+    (_RIGHT, Point2(1e160, 0.0), 5e-161),
+    (_RIGHT, Point2(3e307, 0.0), 0.5 / 3e307),
+    (_TINY_RIGHT, Point2(1e10, 1e10), 0.0),  # 3.5e-611 rounds to 0
+])
+def test_a_far_point_sees_a_point_charge(tri, p, v):
+    # more than 2^510 frame units from A the differences' products would
+    # leave the double range, and the triangle is a point to double
+    # precision: V = area / |P - A|, the point and the field are
+    # exterior, and every distance to the triangle is |P - A|
+    assert potential_closed(tri, p) == pytest.approx(v, rel=1e-15)
+    assert classify_point(tri, p) is PointLocation.EXTERIOR
+    with pytest.raises(NotInterior):
+        field_closed(tri, p)
+    assert distance_to_boundary(tri, p) == pytest.approx(math.hypot(p.x, p.y), rel=1e-15)
+    batch = potential_field_batch(tri, [p.x, 0.25 * tri.sides.c], [p.y, 0.25 * tri.sides.b])
+    assert batch.v[0] == potential_closed(tri, p)
+    assert batch.v[1] == potential_closed(tri, Point2(0.25 * tri.sides.c, 0.25 * tri.sides.b))
+    assert math.isnan(batch.ex[0]) and math.isnan(batch.ey[0])
+    assert batch.exterior.tolist() == [True, False]
+    assert batch.interior.tolist() == [False, True]
+
+
+def test_a_distance_past_the_largest_double_is_a_typed_error():
+    with pytest.raises(TripotentialError, match="largest double"):
+        distance_to_boundary(_RIGHT, Point2(1.7e308, 1.7e308))
 
 
 def _solution_bits(sides, k):
