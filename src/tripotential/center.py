@@ -351,8 +351,8 @@ def point_from_coth_parts(
     the result for small lambda. The g parts, lengths of the triangle's
     own size, are scaled into the frame first.
     """
-    e, bx, by, cx, cy = tri._frame
-    k = math.ldexp(1.0, -e)
+    _, bx, by, cx, cy = tri._frame
+    k = tri._scale
     inv_t, ga, gb, gc = k * inv_t, k * ga, k * gb, k * gc
     qa = -gb * gc
     qb = bx * bx + by * by - gc * ga
@@ -417,11 +417,10 @@ def electrostatic_center(
     sol = _root(sides, tol)
     t_a, t_b, t_c = sol.terms
     total = t_a + t_b + t_c
-    e, bx, by, cx, cy = tri._frame
+    _, bx, by, cx, cy = tri._frame
     x, y = (t_b * bx + t_c * cx) / total, (t_b * by + t_c * cy) / total
     # classify_point's test on the frame point (the world point is rounded)
-    k = math.ldexp(1.0, -e)
-    a, b, c = k * sides.a, k * sides.b, k * sides.c
+    (*_, c, _, _), (*_, a, _, _), (*_, b, _, _) = tri._edges
     tau = (_cross(x, y, bx, by, cx, cy) / a, _cross(x, y, cx, cy, 0.0, 0.0) / b,
            _cross(x, y, 0.0, 0.0, bx, by) / c)
     if not _clears_boundary(tau, BOUNDARY_BAND_RTOL * max(a, b, c)):

@@ -491,10 +491,9 @@ def _verify_checks(tol_override: float | None) -> list[dict]:
 
 
 def _cmd_verify(args) -> int:
-    tol_override = args.tol if args.tol is not None else None
-    if tol_override is not None and tol_override <= 0:
+    if args.tol is not None and not args.tol > 0:  # nan included
         raise ValueError("tolerance must be positive")
-    checks = _verify_checks(tol_override)
+    checks = _verify_checks(args.tol)
     passed = all(c["passed"] for c in checks)
     if args.json:
         args.format = "json"

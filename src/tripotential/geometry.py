@@ -19,6 +19,9 @@ Conventions used throughout the package:
   or underflows at any size and an offset costs only the way back, one
   ``ldexp`` and one add per coordinate (``TripotentialError`` if the
   point is not finite).
+* Every point-versus-edge pass reads the frame's edge table (the edges
+  times 2^-e): it scales the point by 2^-e, differences it against the
+  rows, and divides a length-valued result by 2^-e once.
 * One criterion per decision: a triangle is valid by its side lengths
   (``SideLengths``), and a point is inside by more than m when min tau
   > m, over its signed distances tau = u x w / L to the side lines.
@@ -88,15 +91,13 @@ class Point2:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-def _cross(ox, oy, ax, ay, bx, by, scale=1.0):
-    """Twice the signed area of triangle (o, a, b) times scale, a power of
-    two that multiplies one factor of each product (exact, and the frame's
-    2^-e keeps the products in range); floats or numpy arrays.
+def _cross(ox, oy, ax, ay, bx, by):
+    """Twice the signed area of triangle (o, a, b); floats or numpy arrays.
 
     With o a point and (a, b) an edge, this u x w (u, w from the point to
     the endpoints) is the package's one point-versus-edge orientation.
     """
-    return (ax - ox) * scale * (by - oy) - (ay - oy) * scale * (bx - ox)
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class Triangle:
     if needed so that (A, B, C) runs counterclockwise. The relabelling is
     consistent: side lengths and angle names follow the stored order.
     Raises DegenerateTriangle if the side lengths fail ``SideLengths``,
-    TripotentialError if one exceeds the double range.
+    TripotentialError if one is inf or the diameter below 2^-1024.
     """
 
     a_vertex: Point2
@@ -116,8 +117,12 @@ class Triangle:
     # Side lengths a = |BC|, b = |CA|, c = |AB|, validated at construction.
     sides: "SideLengths" = field(init=False, repr=False, compare=False)
     # The local frame (e, bx, by, cx, cy): B - A and C - A scaled exactly
-    # by 2^-e, which brings the diameter into [0.5, 1).
+    # by 2^-e, which brings the diameter into [0.5, 1); _scale is 2^-e and
+    # _edges the edge table, per edge of ``edges()`` the row (x1, y1, x2,
+    # y2, ex, ey, length, ux, uy): all but the direction u times 2^-e.
     _frame: tuple = field(init=False, repr=False, compare=False)
+    _scale: float = field(init=False, repr=False, compare=False)
+    _edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A, B, C = self.vertices
@@ -131,6 +136,16 @@ class Triangle:
             b, c, bx, by, cx, cy = c, b, cx, cy, bx, by
         object.__setattr__(self, "sides", SideLengths(a, b, c))
         object.__setattr__(self, "_frame", (e, bx, by, cx, cy))
+        if e < -1023:
+            raise TripotentialError(f"the diameter {max(a, b, c)!r} is below 2^-1024")
+        k = math.ldexp(1.0, -e)
+        rows = []
+        for (v1, v2), side in zip(self.edges(), (c, a, b)):
+            x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+            ex, ey, length = x2 - x1, y2 - y1, side * k
+            rows.append((x1, y1, x2, y2, ex, ey, length, ex / length, ey / length))
+        object.__setattr__(self, "_scale", k)
+        object.__setattr__(self, "_edges", tuple(rows))
 
     @property
     def vertices(self) -> tuple[Point2, Point2, Point2]:
@@ -148,17 +163,10 @@ class Triangle:
         return Triangle(Point2(0.0, 0.0), Point2(bx, by), Point2(cx, cy))
 
     @functools.cached_property
-    def _unit_edges(self) -> tuple:
-        """(x1, y1, x2, y2, ux, uy) per edge of ``edges()``, u its direction."""
-        return tuple((v1.x, v1.y, v2.x, v2.y, (v2.x - v1.x) / n, (v2.y - v1.y) / n)
-                     for v1, v2 in self.edges() for n in (v1.distance_to(v2),))
-
-    @functools.cached_property
     def _far_offset(self) -> float:
         """The offset from A in x or y beyond which a point is far
         (``_FAR_FRAME_EXPONENT``); inf where that exceeds the doubles."""
-        e = self._frame[0] + _FAR_FRAME_EXPONENT
-        return math.ldexp(1.0, e) if e < 1024 else math.inf
+        return math.ldexp(1.0, _FAR_FRAME_EXPONENT) / self._scale
 
     def _far_quarter_distance(self, x: float, y: float) -> float:
         """|(x, y) - A| / 4 if the point is far, else 0.0; quartered so
@@ -348,9 +356,8 @@ def diameter(tri: Triangle) -> float:
 def distance_to_boundary(tri: Triangle, p: Point2) -> float:
     """Euclidean distance from p to the triangle's boundary (3 segments):
     per edge, with u, w from p to its endpoints and e = w - u, |u| if
-    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|, on p and the vertices
-    scaled exactly by the frame's 2^-e so that no product leaves double
-    range; the distance is scaled back. A far point's distance is |p - A|
+    u.e >= 0, |w| if w.e <= 0, else |u x w| / |e|, on p scaled like the
+    edge table and scaled back. A far point's distance is |p - A|
     (TripotentialError past the largest double). Margin tests use
     ``_clears_boundary`` (min tau) instead."""
     quarter = tri._far_quarter_distance(p.x, p.y)
@@ -360,20 +367,18 @@ def distance_to_boundary(tri: Triangle, p: Point2) -> float:
         except OverflowError:
             raise TripotentialError(
                 f"the distance from {p} exceeds the largest double") from None
-    k = math.ldexp(1.0, -tri._frame[0])
+    k = tri._scale
     px, py = p.x * k, p.y * k
     dist = math.inf
-    for v1, v2 in tri.edges():
-        x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+    for x1, y1, x2, y2, ex, ey, length, _, _ in tri._edges:
         ux, uy = x1 - px, y1 - py
         wx, wy = x2 - px, y2 - py
-        ex, ey = x2 - x1, y2 - y1
         if ux * ex + uy * ey >= 0.0:
             dist = min(dist, math.hypot(ux, uy))
         elif wx * ex + wy * ey <= 0.0:
             dist = min(dist, math.hypot(wx, wy))
         else:
-            dist = min(dist, abs(ux * wy - uy * wx) / math.hypot(ex, ey))
+            dist = min(dist, abs(ux * wy - uy * wx) / length)
     return dist / k
 
 
@@ -392,16 +397,15 @@ def classify_point(tri: Triangle, p: Point2) -> PointLocation:
 
 def _side_distances(tri: Triangle, x, y):
     """Signed distances (tau_a, tau_b, tau_c) of (x, y) to the side lines
-    BC, CA, AB: per side u x w over its length, both scaled exactly by the
-    frame's 2^-e so that no product leaves double range. Floats or numpy
-    arrays."""
-    A, B, C = tri.vertices
-    sl = tri.sides
-    k = math.ldexp(1.0, -tri._frame[0])
+    BC, CA, AB: per side u x w over its length, in the edge table's units
+    where no product leaves double range. Floats or numpy arrays."""
+    k = tri._scale
+    px, py = x * k, y * k
+    (ax, ay, bx, by, *_, lc, _, _), (*_, cx, cy, _, _, la, _, _), (*_, lb, _, _) = tri._edges
     return (
-        _cross(x, y, B.x, B.y, C.x, C.y, k) / (k * sl.a),
-        _cross(x, y, C.x, C.y, A.x, A.y, k) / (k * sl.b),
-        _cross(x, y, A.x, A.y, B.x, B.y, k) / (k * sl.c),
+        _cross(px, py, bx, by, cx, cy) / la / k,
+        _cross(px, py, cx, cy, ax, ay) / lb / k,
+        _cross(px, py, ax, ay, bx, by) / lc / k,
     )
 
 
@@ -431,10 +435,9 @@ def trilinear_to_cartesian(tri: Triangle, t: Trilinears) -> Point2:
     DegenerateTrilinears
         If a*tau_a + b*tau_b + c*tau_c vanishes (point at infinity).
     """
-    e, bx, by, cx, cy = tri._frame
-    sl = side_lengths(tri)
-    wa, wb, wc = (math.ldexp(side, -e) * tau for side, tau in (
-        (sl.a, t.tau_a), (sl.b, t.tau_b), (sl.c, t.tau_c)))
+    _, bx, by, cx, cy = tri._frame
+    (*_, lc, _, _), (*_, la, _, _), (*_, lb, _, _) = tri._edges
+    wa, wb, wc = la * t.tau_a, lb * t.tau_b, lc * t.tau_c
     den = wa + wb + wc
     scale = abs(wa) + abs(wb) + abs(wc)
     if abs(den) <= 1e-14 * scale:
@@ -457,12 +460,10 @@ def cevian_angles(tri: Triangle, p: Point2) -> CevianAngles:
     """
     if classify_point(tri, p) is not PointLocation.INTERIOR:
         raise NotInterior(f"{p} is not strictly inside the triangle")
-    # every coordinate scaled exactly by the frame's 2^-e, so that the
-    # differences' products stay in range
-    k = math.ldexp(1.0, -tri._frame[0])
-    (ax, ay), (bx, by), (cx, cy), (px, py) = (
-        (q.x * k, q.y * k) for q in (*tri.vertices, p)
-    )
+    # p in the edge table's units, where the differences' products fit
+    k = tri._scale
+    px, py = p.x * k, p.y * k
+    (ax, ay, bx, by, *_), (_, _, cx, cy, *_), _ = tri._edges
     return CevianAngles(
         alpha1=_angle_between(bx - ax, by - ay, px - ax, py - ay),
         alpha2=_angle_between(px - ax, py - ay, cx - ax, cy - ay),

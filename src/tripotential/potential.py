@@ -86,16 +86,19 @@ def _cones(tri: Triangle, x, y):
     arrays: (phi_start, delta, cr, ex, ey).
 
     The cone spans polar angles [phi_start, phi_start + delta], delta
-    signed by orientation; cr is u x w with u, w from the point to the
-    edge's endpoints, and (ex, ey) the edge vector, which give the ray
-    length along phi as ``_ray_length(phi, cr, ex, ey)``.
+    signed by orientation. (ex, ey) is the edge table's edge vector and cr
+    its u x w (u, w from the point to the endpoints) over 2^-e: both are
+    world values times 2^-e, in range at every size, and their ray length
+    along phi, ``_ray_length(phi, cr, ex, ey)``, is in world units.
     """
-    for v1, v2 in tri.edges():
-        ux, uy = v1.x - x, v1.y - y
-        wx, wy = v2.x - x, v2.y - y
-        cr = _cross(x, y, v1.x, v1.y, v2.x, v2.y)
+    k = tri._scale
+    px, py = x * k, y * k
+    for x1, y1, x2, y2, ex, ey, _, _, _ in tri._edges:
+        ux, uy = x1 - px, y1 - py
+        wx, wy = x2 - px, y2 - py
+        cr = ux * wy - uy * wx
         delta = np.arctan2(cr, ux * wx + uy * wy)
-        yield np.arctan2(uy, ux), delta, cr, v2.x - v1.x, v2.y - v1.y
+        yield np.arctan2(uy, ux), delta, cr / k, ex, ey
 
 
 def _ray_length(phis, cr, ex, ey):
@@ -109,9 +112,9 @@ def cone_windows(tri: Triangle, p: Point2):
     Returns a list of (phi_start, delta, R) per non-degenerate cone, where
     the cone spans polar angles [phi_start, phi_start + delta] (delta is
     signed by orientation) and R(phi) is the vectorized distance from p to
-    the edge's line along direction phi. Cones that collapse (p at a
-    vertex or on an edge's line, |sin delta| <= 1e-15) are omitted; their
-    integral contribution vanishes in the limit.
+    the edge's line along direction phi, in world units. Cones that
+    collapse (p at a vertex or on an edge's line, |sin delta| <= 1e-15)
+    are omitted; their integral contribution vanishes in the limit.
     """
     return [
         (phi_start, delta, partial(_ray_length, cr=cr, ex=ex, ey=ey))
@@ -129,29 +132,25 @@ def _edge_sums(tri: Triangle, p: Point2):
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
-    tau_min, the smallest u x w / L, gives the verdicts. p and the vertices
-    are scaled exactly by the frame's 2^-e first, so every difference is
-    the world difference times 2^-e and no product leaves double range; V
-    and tau_min are scaled back at the end. A far point (see
+    tau_min, the smallest u x w / L, gives the verdicts. p is scaled like
+    the edge table, so that no product leaves double range, and V and
+    tau_min are scaled back at the end. A far point (see
     ``Triangle._far_quarter_distance``) sees a point charge: V = area / |p - A|,
     no field, and tau_min = -inf.
     """
     quarter = tri._far_quarter_distance(p.x, p.y)
     if quarter:
         return _far_potential(tri, quarter), math.nan, math.nan, -math.inf
-    k = math.ldexp(1.0, -tri._frame[0])
+    k = tri._scale
     px, py = p.x * k, p.y * k
     v = fx = fy = 0.0
     tau_min = math.inf
-    for v1, v2 in tri.edges():
-        x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+    for x1, y1, x2, y2, ex, ey, length, _, _ in tri._edges:
         ux, uy = x1 - px, y1 - py
         wx, wy = x2 - px, y2 - py
         cr = ux * wy - uy * wx
         dot = ux * wx + uy * wy
         r1, r2 = math.hypot(ux, uy), math.hypot(wx, wy)
-        ex, ey = x2 - x1, y2 - y1
-        length = math.hypot(ex, ey)
         tau = cr / length
         if tau < tau_min:
             tau_min = tau
@@ -275,7 +274,7 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     ``field_closed`` would raise, the field is nan. For one point the
     scalar functions are faster.
     """
-    k = math.ldexp(1.0, -tri._frame[0])
+    k = tri._scale
     px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     A, far = tri.a_vertex, None
     if px.size and py.size and any(  # the extremes hold the farthest offsets
@@ -289,15 +288,12 @@ def potential_field_batch(tri: Triangle, x, y) -> FieldBatch:
     v = fx = fy = 0.0
     tau_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        for v1, v2 in tri.edges():
-            x1, y1, x2, y2 = v1.x * k, v1.y * k, v2.x * k, v2.y * k
+        for x1, y1, x2, y2, ex, ey, length, _, _ in tri._edges:
             ux, uy = x1 - px, y1 - py
             wx, wy = x2 - px, y2 - py
             cr = ux * wy - uy * wx
             dot = ux * wx + uy * wy
             r1, r2 = np.hypot(ux, uy), np.hypot(wx, wy)
-            ex, ey = x2 - x1, y2 - y1
-            length = math.hypot(ex, ey)
             tau_min = np.minimum(tau_min, cr / length)
             s = r1 + r2 + length
             r1r2 = r1 * r2

@@ -227,8 +227,10 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
     """
     width = 2.0 * min(_PANEL_HALF_WIDTH, _PANEL_HALF_WIDTH_P / (abs(p) + 1.0))
     counts, rows, ends = [], [], []
-    for x1, y1, x2, y2, ux, uy in tri._unit_edges:
-        ax, ay, bx, by = x1 - p_pt.x, y1 - p_pt.y, x2 - p_pt.x, y2 - p_pt.y
+    # in the edge table's units: only ratios of lengths enter
+    px, py, r0 = p_pt.x * tri._scale, p_pt.y * tri._scale, r0 * tri._scale
+    for x1, y1, x2, y2, _, _, _, ux, uy in tri._edges:
+        ax, ay, bx, by = x1 - px, y1 - py, x2 - px, y2 - py
         d = ax * uy - ay * ux
         t1, t2 = ax * ux + ay * uy, bx * ux + by * uy
         s1, s2 = math.asinh(t1 / d), math.asinh(t2 / d)
@@ -421,13 +423,16 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     At the V_{-2} extreme point the angle each side subtends divided by
     the area of the corresponding sub-triangle is the same for all three
     sides; the max-min spread of the ratios is returned (0 exactly at
-    that point). As in ``stationarity_residual``, NotInterior marks a
-    point in the exclusion band.
+    that point), from areas in the edge table's units and mapped back
+    with its unit length r0 = 2^e. As in ``stationarity_residual``,
+    NotInterior and TripotentialError mark the exclusion band and a
+    spread out of double range.
     """
     _ray_scale(tri, p_pt)
+    k = tri._scale
     cones = _cones(tri, p_pt.x, p_pt.y)
-    ratios = [abs(delta) / (0.5 * abs(cr)) for _, delta, cr, _, _ in cones]
-    return float(max(ratios) - min(ratios))
+    ratios = [abs(delta) / (0.5 * abs(cr) * k) for _, delta, cr, _, _ in cones]
+    return _rescaled((float(max(ratios) - min(ratios)),), 1.0 / k, -2.0)[0]
 
 
 def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:

@@ -537,6 +537,7 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys, argv):
         ("grid", "--sides", "1,1,1", "--n", "4"),
         ("survey", "--n", "50"),
         ("verify", "--tol", "0"),
+        ("verify", "--tol", "nan"),
         # Exponents whose kernel or its derivative overflows, or whose edge
         # rule would need more panels than it allows.
         ("rp-center", "--sides", "3,4,5", "--p", "594"),

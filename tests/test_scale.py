@@ -16,6 +16,7 @@ from tripotential import (
     SideLengths,
     Triangle,
     TripotentialError,
+    brute_force_max,
     cartesian_to_trilinear,
     center_function_trilinears,
     centroid,
@@ -26,6 +27,7 @@ from tripotential import (
     distance_to_boundary,
     electrostatic_center,
     field_closed,
+    illuminating_spread,
     incenter,
     inradius,
     inversion_first_moment,
@@ -35,6 +37,7 @@ from tripotential import (
     potential_arc,
     potential_closed,
     potential_field_batch,
+    potential_quadrature,
     rp_center,
     side_lengths,
     solve_lambda,
@@ -74,12 +77,14 @@ def test_rp_center_and_arc_are_scale_free(k):
         assert math.hypot(ap.point.x / s - ref.point.x, ap.point.y / s - ref.point.y) < 1e-12
 
 
-@pytest.mark.parametrize("k", EXPONENTS)
+@pytest.mark.parametrize("k", EXPONENTS + (-300, -160, 160, 300))
 def test_stationarity_residual_is_scale_covariant(k):
     # the literal integral has length degree p + 1; where its power of
     # 10^k leaves double range (beyond 1e+-300 here, none lies near the
     # edge) the residual must be refused with a typed error, never
-    # returned as a false zero or a bare OverflowError
+    # returned as a false zero or a bare OverflowError. The cones' ray
+    # lengths come from the frame-scaled edge table, so they are right at
+    # every size.
     s, tri = 10.0**k, _scaled(k)
     q = Point2(0.3, 0.2)
     for p in (-4.0, -2.0, -1.0, 0.0, 2.0, 5.0):
@@ -108,6 +113,21 @@ def test_inversion_first_moment_is_scale_covariant(k):
         return
     moment = inversion_first_moment(tri, Point2(q.x * s, q.y * s))
     assert moment * s**3 == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("k", (-100, 100))
+def test_illuminating_spread_is_scale_covariant(k):
+    # a spread of angle/area ratios has length degree -2: exactly so under
+    # 2^k, and refused with a typed error where 10^(-2k) is not a double
+    s = math.ldexp(1.0, k)
+    q = Point2(0.3, 0.2)
+    tri = Triangle(*(Point2(v.x * s, v.y * s) for v in UNIT.vertices))
+    ref = illuminating_spread(UNIT, q)
+    assert illuminating_spread(tri, Point2(q.x * s, q.y * s)) == ref * 4.0**-k
+    for big in (-300, -160, 160, 300):
+        s = 10.0**big
+        with pytest.raises(TripotentialError):
+            illuminating_spread(_scaled(big), Point2(q.x * s, q.y * s))
 
 
 @pytest.mark.parametrize("k", (-150, -110, 110, 150))
@@ -211,6 +231,12 @@ def test_a_far_point_sees_a_point_charge(tri, p, v):
     assert math.isnan(batch.ex[0]) and math.isnan(batch.ey[0])
     assert batch.exterior.tolist() == [True, False]
     assert batch.interior.tolist() == [False, True]
+
+
+def test_a_diameter_below_the_frame_range_is_a_typed_error():
+    # the frame's 2^-e would exceed the largest double
+    with pytest.raises(TripotentialError, match="2\\^-1024"):
+        Triangle(Point2(0.0, 0.0), Point2(1e-310, 0.0), Point2(0.0, 1e-310))
 
 
 def test_a_distance_past_the_largest_double_is_a_typed_error():
@@ -327,9 +353,10 @@ def test_vertex_order_covariance(s, diameters_out):
     # reflected across AB the same way. At the centroid, V, E (scalar and
     # batch alike), the inradius, the distance to the boundary and the
     # cevian angles match the unit triangle in the same vertex order, and
-    # the area does where it is a double; the coordinates carry
-    # ulp(offset), about 2^-52 * diameters_out diameters, which the
-    # tolerance allows for.
+    # the area does where it is a double; so do the angular quadrature
+    # of V, to its 1e-10 target, and the brute-force maximizer, mapped by
+    # the same scale and shift. The coordinates carry ulp(offset), about
+    # 2^-52 * diameters_out diameters, which the tolerance allows for.
     shift = diameters_out * math.sqrt(18.0) * s
     pts = [Point2(s * x + shift, s * y + shift) for x, y in _COVARIANCE_SHAPE]
     g = Point2(s * (5.0 / 3.0) + shift, s + shift)
@@ -363,8 +390,34 @@ def test_vertex_order_covariance(s, diameters_out):
             distance_to_boundary(unit, unit_g), rel=tol)
         assert astuple(cevian_angles(tri, g)) == pytest.approx(
             astuple(cevian_angles(unit, unit_g)), abs=tol)
+        assert abs(potential_quadrature(tri, g) - v) <= 1e-10 * abs(v)
+        best, unit_best = brute_force_max(tri, 16, 2), brute_force_max(unit, 16, 2)
+        assert math.hypot(best.x - (s * unit_best.x + shift),
+                          best.y - (s * unit_best.y + shift)) <= tol * diameter(tri)
         if s > 1.0:  # 6e320
             with pytest.raises(TripotentialError, match="largest double"):
                 area(tri)
         else:  # 6e-320 is subnormal
             assert area(tri) == pytest.approx(6.0 * s * s, rel=tol, abs=2.0**-1070)
+
+
+@pytest.mark.parametrize("diameters_out", [0.0, 1e8])
+@pytest.mark.parametrize("s", [1.0, 1e160, 1e-160])
+def test_edge_table_rows_are_the_scaled_edges(s, diameters_out):
+    # every point-versus-edge pass reads these rows in place of its own
+    # scaled differences; that keeps their bits because hypot is
+    # equivariant under 2^k, so the length side * 2^-e is the hypot of
+    # the scaled edge vector
+    shift = diameters_out * math.sqrt(18.0) * s
+    pts = [Point2(s * x + shift, s * y + shift) for x, y in _COVARIANCE_SHAPE]
+    for order in itertools.permutations(range(3)):
+        tri = Triangle(*(pts[i] for i in order))
+        k = tri._scale
+        assert k == math.ldexp(1.0, -tri._frame[0])
+        sides = (tri.sides.c, tri.sides.a, tri.sides.b)
+        for (v1, v2), side, row in zip(tri.edges(), sides, tri._edges, strict=True):
+            x1, y1, x2, y2, ex, ey, length, ux, uy = row
+            assert (x1, y1, x2, y2) == (v1.x * k, v1.y * k, v2.x * k, v2.y * k)
+            assert (ex, ey) == (x2 - x1, y2 - y1)
+            assert length == math.hypot(ex, ey) == side * k
+            assert (ux, uy) == (ex / length, ey / length)
