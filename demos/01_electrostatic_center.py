@@ -11,6 +11,7 @@ from tripotential import (
     Triangle,
     cartesian_to_trilinear,
     centroid,
+    circumcenter,
     electrostatic_center,
     field_closed,
     incenter,
@@ -48,12 +49,18 @@ for name, q in [
     print(f"  {name:22s} |E| = {field_closed(tri, q).norm():.3e}")
 
 # Two families of identities characterize the center: the log-scaled
-# vertex-distance ratios and the log-scaled tangent products of the
-# angles it subtends. Their spreads vanish only at the center.
+# vertex-distance ratios (1/a) log((r_B + r_C - a)/(r_B + r_C + a)),
+# which are minus the field's per-edge logs over the edge lengths, and
+# the log-scaled tangent products of the angles it subtends. In triangle
+# PBC tan(beta1/2) tan(gamma2/2) = (s' - a)/s', so the tangent triple is
+# the side triple times the circumdiameter 2R: the side spread is in
+# 1/length, the tangent spread is dimensionless, and both vanish only at
+# the center.
 s_side, s_tan = stationarity_spreads(tri, point)
 print("\nidentity spreads at the center :", (s_side, s_tan))
 s_side, s_tan = stationarity_spreads(tri, centroid(tri))
 print("identity spreads at the centroid:", (s_side, s_tan))
+print("their ratio:", s_tan / s_side, "= 2R:", 2 * circumcenter(tri).distance_to(tri.a_vertex))
 
 # ----------------------------------------------------------------------
 # The potential value itself, and how much the center beats its rivals.

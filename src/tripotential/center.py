@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, NegativeRadicand, TripotentialError
+from .errors import BracketFailure, NegativeRadicand, NotInterior, TripotentialError
 from .estimates import initial_guess, lambda_equilateral, shape_parameter
 from .geometry import (
     BOUNDARY_BAND_RTOL,
@@ -43,13 +43,14 @@ from .geometry import (
     SideLengths,
     Triangle,
     Trilinears,
+    _barycentric_point,
     _clears_boundary,
     _cross,
-    cevian_angles,
+    diameter,
     heron_area,
     side_lengths,
-    vertex_distances,
 )
+from .potential import _edge_sums
 
 __all__ = [
     "LambdaSolution",
@@ -409,23 +410,19 @@ def electrostatic_center(
     """The unique interior point where the field vanishes (max of V).
 
     The terms (T_a, T_b, T_c) of the sides' lambda root (one solve per
-    sides and tol, see ``_root``) are its barycentric coordinates: in the
-    local frame, A at 0, P = (T_b*B + T_c*C) / (T_a + T_b + T_c), checked
-    there to be interior.
+    sides and tol, see ``_root``) are its barycentric coordinates, mapped
+    to the point through the frame as ``trilinear_to_cartesian``'s are.
+    It is interior by more than the boundary band when its center-function
+    trilinears T_x / x, twice the exact gauge, all exceed twice the band.
     """
     sides = side_lengths(tri)
     sol = _root(sides, tol)
     t_a, t_b, t_c = sol.terms
-    total = t_a + t_b + t_c
-    _, bx, by, cx, cy = tri._frame
-    x, y = (t_b * bx + t_c * cx) / total, (t_b * by + t_c * cy) / total
-    # classify_point's test on the frame point (the world point is rounded)
-    (*_, c, _, _), (*_, a, _, _), (*_, b, _, _) = tri._edges
-    tau = (_cross(x, y, bx, by, cx, cy) / a, _cross(x, y, cx, cy, 0.0, 0.0) / b,
-           _cross(x, y, 0.0, 0.0, bx, by) / c)
-    if not _clears_boundary(tau, BOUNDARY_BAND_RTOL * max(a, b, c)):
-        raise TripotentialError(f"computed center {tri._from_frame(x, y)} is not interior")
-    return tri._from_frame(x, y), sol
+    tau = t_a / sides.a, t_b / sides.b, t_c / sides.c
+    band = BOUNDARY_BAND_RTOL * max(sides.a, sides.b, sides.c)
+    if not _clears_boundary(tau, 2.0 * band):
+        raise TripotentialError(f"computed center with trilinears {tau} is not interior")
+    return _barycentric_point(tri, t_a, t_b, t_c), sol
 
 
 def stationarity_spreads(tri: Triangle, p: Point2) -> tuple[float, float]:
@@ -440,31 +437,30 @@ def stationarity_spreads(tri: Triangle, p: Point2) -> tuple[float, float]:
 
         (1/sin alpha) log(tan(beta1/2) tan(gamma2/2))   (and cyclic).
 
-    Both spreads vanish exactly at the field's stationary point and only
-    there; the log forms avoid the underflow the exponentiated relations
-    suffer on thin triangles.
-    """
-    ang = cevian_angles(tri, p)  # validates interiority
-    sl = side_lengths(tri)
-    r_a, r_b, r_c = vertex_distances(tri, p)
+    The side triple is -l_e / L_e per edge, the field's own edge logs,
+    formed without cancellation in one ``_edge_sums`` pass whose min tau
+    also decides, as in ``classify_point``, that p is strictly inside. In
+    triangle PBC, tan(beta1/2) tan(gamma2/2) = (s' - a)/s' with s' its
+    semiperimeter, and a / sin alpha = 2R, so the tangent triple is the
+    side triple times the circumdiameter 2R = abc / (2 area): its spread is
+    dimensionless, formed in the frame. Both spreads vanish exactly at the
+    field's stationary point and only there, since E = sum n_e l_e and
+    sum L_e n_e = 0; the log forms avoid the underflow the exponentiated
+    relations suffer on thin triangles.
 
-    q = (
-        math.log((r_b + r_c - sl.a) / (r_b + r_c + sl.a)) / sl.a,
-        math.log((r_c + r_a - sl.b) / (r_c + r_a + sl.b)) / sl.b,
-        math.log((r_a + r_b - sl.c) / (r_a + r_b + sl.c)) / sl.c,
-    )
-    alpha = ang.alpha1 + ang.alpha2
-    beta = ang.beta1 + ang.beta2
-    gamma = ang.gamma1 + ang.gamma2
-    tq = (
-        math.log(math.tan(0.5 * ang.beta1) * math.tan(0.5 * ang.gamma2))
-        / math.sin(alpha),
-        math.log(math.tan(0.5 * ang.gamma1) * math.tan(0.5 * ang.alpha2))
-        / math.sin(beta),
-        math.log(math.tan(0.5 * ang.alpha1) * math.tan(0.5 * ang.beta2))
-        / math.sin(gamma),
-    )
-    return (max(q) - min(q), max(tq) - min(tq))
+    Raises
+    ------
+    NotInterior
+        If p is on the boundary or outside.
+    """
+    _, _, _, tau_min, ells = _edge_sums(tri, p)
+    if not tau_min > BOUNDARY_BAND_RTOL * diameter(tri):
+        raise NotInterior(f"{p} is not strictly inside the triangle")
+    _, bx, by, cx, cy = tri._frame
+    k, sl = tri._scale, tri.sides
+    spread = max(ells) - min(ells)  # in 1/length times 2^e
+    two_r = (sl.a * k) * (sl.b * k) * (sl.c * k) / _cross(0.0, 0.0, bx, by, cx, cy)
+    return spread * k, spread * two_r
 
 
 def center_function_trilinears(sides: SideLengths, tol: float = 1e-12) -> Trilinears:

@@ -221,7 +221,8 @@ def _cmd_center(args) -> int:
             "r_a/r_b/r_c": "length (input units)",
             "center": "length (input units)",
             "trilinears": "homogeneous (ratio only)",
-            "spreads": "1/length",
+            "side_relation_spread": "1/length",
+            "tangent_relation_spread": "dimensionless",
             "field_norm": "dimensionless (potential per length)",
             "residual": "length^2",
         },
@@ -277,7 +278,7 @@ def _cmd_rp_center(args) -> int:
     return _report(args, report, header, [row])
 
 
-def _arc_rows(tri: Triangle, points: list[riesz.ArcPoint]) -> list[list]:
+def _arc_rows(tri: Triangle, points: list[riesz.RpSolveReport]) -> list[list]:
     return [
         [ap.p, ap.point.x, ap.point.y, ap.residual_norm, ap.iterations,
          ap.converged, riesz.thomson_residual(tri, ap.point)]

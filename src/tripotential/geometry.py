@@ -435,13 +435,19 @@ def trilinear_to_cartesian(tri: Triangle, t: Trilinears) -> Point2:
     DegenerateTrilinears
         If a*tau_a + b*tau_b + c*tau_c vanishes (point at infinity).
     """
-    _, bx, by, cx, cy = tri._frame
     (*_, lc, _, _), (*_, la, _, _), (*_, lb, _, _) = tri._edges
     wa, wb, wc = la * t.tau_a, lb * t.tau_b, lc * t.tau_c
-    den = wa + wb + wc
-    scale = abs(wa) + abs(wb) + abs(wc)
-    if abs(den) <= 1e-14 * scale:
+    if abs(wa + wb + wc) <= 1e-14 * (abs(wa) + abs(wb) + abs(wc)):
         raise DegenerateTrilinears(f"barycentric normalizer vanishes for {t}")
+    return _barycentric_point(tri, wa, wb, wc)
+
+
+def _barycentric_point(tri: Triangle, wa: float, wb: float, wc: float) -> Point2:
+    """The point with barycentric coordinates (wa : wb : wc), wa + wb + wc
+    nonzero: formed in the frame, where A is the origin and only B and C
+    weigh in, and mapped back once."""
+    _, bx, by, cx, cy = tri._frame
+    den = wa + wb + wc
     return tri._from_frame((wb * bx + wc * cx) / den, (wb * by + wc * cy) / den)
 
 

@@ -124,7 +124,7 @@ def cone_windows(tri: Triangle, p: Point2):
 
 
 def _edge_sums(tri: Triangle, p: Point2):
-    """(V, Ex, Ey, tau_min) at p from one log per edge.
+    """(V, Ex, Ey, tau_min, ells) at p from one log per edge.
 
     With u, w the vectors from p to the edge's endpoints (r1, r2 their
     lengths), the small denominator of l_e is formed without
@@ -132,19 +132,21 @@ def _edge_sums(tri: Triangle, p: Point2):
     which equals (u x w)^2/(r1*r2 - u.w) and is computed so when u.w < 0.
     An edge with m = 0 (p on its segment, endpoints included) adds nothing
     to V, the limit of h_e * l_e; its field term diverges and is left out.
-    tau_min, the smallest u x w / L, gives the verdicts. p is scaled like
-    the edge table, so that no product leaves double range, and V and
-    tau_min are scaled back at the end. A far point (see
+    tau_min, the smallest u x w / L, gives the verdicts; ells lists the
+    other edges' l_e / L in the edge table's units (1/length times 2^e).
+    p is scaled like the edge table, so that no product leaves double
+    range, and V and tau_min are scaled back at the end. A far point (see
     ``Triangle._far_quarter_distance``) sees a point charge: V = area / |p - A|,
-    no field, and tau_min = -inf.
+    no field, tau_min = -inf and no ells.
     """
     quarter = tri._far_quarter_distance(p.x, p.y)
     if quarter:
-        return _far_potential(tri, quarter), math.nan, math.nan, -math.inf
+        return _far_potential(tri, quarter), math.nan, math.nan, -math.inf, []
     k = tri._scale
     px, py = p.x * k, p.y * k
     v = fx = fy = 0.0
     tau_min = math.inf
+    ells = []
     for x1, y1, x2, y2, ex, ey, length, _, _ in tri._edges:
         ux, uy = x1 - px, y1 - py
         wx, wy = x2 - px, y2 - py
@@ -159,10 +161,11 @@ def _edge_sums(tri: Triangle, p: Point2):
         if m == 0.0:
             continue
         ell = math.log(0.5 * s * (s / m)) / length  # l_e / L
+        ells.append(ell)
         v += cr * ell
         fx += ey * ell
         fy -= ex * ell
-    return v / k, fx, fy, tau_min / k
+    return v / k, fx, fy, tau_min / k, ells
 
 
 def _far_potential(tri: Triangle, quarter, ldexp=math.ldexp):
@@ -237,7 +240,7 @@ def field_closed(tri: Triangle, p: Point2) -> FieldVector:
     TooCloseToBoundary
         If p is interior but within 1e-9 * diameter of a side line.
     """
-    _, ex, ey, tau_min = _edge_sums(tri, p)
+    _, ex, ey, tau_min, _ = _edge_sums(tri, p)
     diam = diameter(tri)
     if not tau_min > BOUNDARY_BAND_RTOL * diam:
         raise NotInterior(f"field is only defined strictly inside, got {p}")

@@ -64,7 +64,6 @@ from .quadrature import _NODES, _WK, _gk15_panels, integrate_adaptive
 
 __all__ = [
     "RpSolveReport",
-    "ArcPoint",
     "stationarity_residual",
     "rp_center",
     "illuminating_spread",
@@ -95,17 +94,9 @@ _INVERSION_PANELS = 4096
 
 @dataclass(frozen=True)
 class RpSolveReport:
-    """Solved extreme point of V_p with solver diagnostics."""
-
-    point: Point2
-    residual_norm: float
-    iterations: int
-    p: float
-
-
-@dataclass(frozen=True)
-class ArcPoint:
-    """One solved point along the family of V_p extreme points."""
+    """An extreme point of V_p with solver diagnostics: from ``rp_center``
+    (always converged) and per exponent of ``potential_arc``, where an
+    unconverged row carries the best iterate."""
 
     p: float
     point: Point2
@@ -276,8 +267,9 @@ def _edge_rule(tri: Triangle, p_pt: Point2, p: float, r0: float):
 
 
 def _rescaled(parts, r0: float, expo: float) -> list[float]:
-    """parts times r0**expo, back from units of r0; TripotentialError
-    unless the factor and each nonzero product are finite normal doubles."""
+    """parts times r0**expo, back from units of r0, as Python floats;
+    TripotentialError unless the factor and each nonzero product are
+    finite normal doubles."""
     try:
         factor = r0**expo
     except OverflowError:
@@ -290,7 +282,7 @@ def _rescaled(parts, r0: float, expo: float) -> list[float]:
             f"the result times r0**{expo:g} = {r0:.3e}**{expo:g} leaves the "
             "range of normal doubles"
         )
-    return [part * factor for part in parts]
+    return [float(part * factor) for part in parts]
 
 
 def stationarity_residual(tri: Triangle, p_pt: Point2, p: float) -> FieldVector:
@@ -381,7 +373,7 @@ def rp_center(
             if norm < best_norm:
                 best_x, best_norm = x, norm
             if norm < tol:
-                return RpSolveReport(tri._from_frame(x.x, x.y), norm, iteration, p)
+                return RpSolveReport(p, tri._from_frame(x.x, x.y), norm, iteration, True)
             dx, dy = _newton_step(jac, val)
             scale = r0  # the Jacobian is per unit r0
             for _ in range(60):
@@ -432,7 +424,7 @@ def illuminating_spread(tri: Triangle, p_pt: Point2) -> float:
     k = tri._scale
     cones = _cones(tri, p_pt.x, p_pt.y)
     ratios = [abs(delta) / (0.5 * abs(cr) * k) for _, delta, cr, _, _ in cones]
-    return _rescaled((float(max(ratios) - min(ratios)),), 1.0 / k, -2.0)[0]
+    return _rescaled((max(ratios) - min(ratios),), 1.0 / k, -2.0)[0]
 
 
 def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:
@@ -492,7 +484,7 @@ def _predict(tri: Triangle, history, p: float, diam: float) -> Point2:
 
 def potential_arc(
     tri: Triangle, p_values, tol: float = 1e-10
-) -> list[ArcPoint]:
+) -> list[RpSolveReport]:
     """Trace the curve of V_p extreme points over a sorted exponent sweep.
 
     The exponents -1 and 2 are inserted when they fall inside the swept
@@ -520,19 +512,17 @@ def potential_arc(
     local = tri._local  # the sweep runs in the frame
     diam = diameter(local)
     g = centroid(local)
-    results: list[ArcPoint] = [None] * len(ps)
+    results: list[RpSolveReport] = [None] * len(ps)
 
     def solve(i: int, start: Point2) -> Point2 | None:
         try:
             rep = rp_center(local, ps[i], tol, x0=start)
         except NoConvergence as exc:
-            results[i] = ArcPoint(
+            results[i] = RpSolveReport(
                 ps[i], exc.best_point, exc.residual_norm, exc.iterations, False
             )
             return None
-        results[i] = ArcPoint(
-            ps[i], rep.point, rep.residual_norm, rep.iterations, True
-        )
+        results[i] = rep
         return rep.point
 
     first = min(range(len(ps)), key=lambda i: abs(ps[i] - 2.0))

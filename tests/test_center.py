@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
 import tripotential.center as center
 from tripotential import (
     BracketFailure,
+    NotInterior,
     Point2,
     SideLengths,
     brute_force_max,
@@ -240,6 +242,66 @@ def test_tangent_product_identity_at_any_interior_point():
         lhs = math.tan(0.5 * ang.beta1) * math.tan(0.5 * ang.gamma2)
         rhs = (r_b + r_c - sl.a) / (r_b + r_c + sl.a)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _decimal_side_spread(tri, p):
+    """The side triple's spread, (1/a) log((r_B + r_C - a)/(r_B + r_C + a))
+    and cyclic, at 60 digits from the exact vertices and point."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        verts = [(Decimal(v.x), Decimal(v.y)) for v in tri.vertices]
+        dist = [
+            ((x - Decimal(p.x)) ** 2 + (y - Decimal(p.y)) ** 2).sqrt() for x, y in verts
+        ]
+        triple = []
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            (xj, yj), (xk, yk) = verts[j], verts[k]
+            side = ((xj - xk) ** 2 + (yj - yk) ** 2).sqrt()
+            pair = dist[j] + dist[k]
+            triple.append(((pair - side) / (pair + side)).ln() / side)
+        return float(max(triple) - min(triple))
+
+
+def _spread_cases():
+    """Slivers (0,0), (1,0), (x,h) with h from 1e-6 to 1 at their
+    centroids, and posed random triangles at random interior points."""
+    rng = make_rng(313)
+    cases = [(tri, centroid(tri)) for tri in sliver_triangles(rng, 100, 1.0)]
+    for _ in range(100):
+        tri = random_triangle(rng)
+        cases.append((tri, random_interior_point(rng, tri)))
+    return cases
+
+
+def test_side_spread_matches_a_60_digit_evaluation():
+    # the side triple is -l_e / L_e, the field's edge logs, whose small
+    # denominator r_B + r_C - a is formed without cancellation
+    for tri, p in _spread_cases():
+        ref = _decimal_side_spread(tri, p)
+        assert stationarity_spreads(tri, p)[0] == pytest.approx(ref, rel=1e-12), tri
+
+
+def test_tangent_spread_is_the_angle_relation():
+    # the tangent triple from the cevian angles, an independent path
+    for tri, p in _spread_cases():
+        ang = cevian_angles(tri, p)
+        alpha, beta = ang.alpha1 + ang.alpha2, ang.beta1 + ang.beta2
+        gamma = ang.gamma1 + ang.gamma2
+        triple = (
+            math.log(math.tan(0.5 * ang.beta1) * math.tan(0.5 * ang.gamma2)) / math.sin(alpha),
+            math.log(math.tan(0.5 * ang.gamma1) * math.tan(0.5 * ang.alpha2)) / math.sin(beta),
+            math.log(math.tan(0.5 * ang.alpha1) * math.tan(0.5 * ang.beta2)) / math.sin(gamma),
+        )
+        spread = max(triple) - min(triple)
+        assert stationarity_spreads(tri, p)[1] == pytest.approx(spread, rel=1e-10), tri
+
+
+def test_stationarity_spreads_refuse_the_boundary(golden_triangle):
+    A, B, _ = golden_triangle.vertices
+    for p in (A, Point2(0.5 * (A.x + B.x), A.y), Point2(10.0, 10.0)):
+        with pytest.raises(NotInterior):
+            stationarity_spreads(golden_triangle, p)
 
 
 def test_center_function_trilinears_match_cartesian_path():

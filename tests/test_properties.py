@@ -9,37 +9,58 @@ layer keeps the same contract at the centroid, without the scaling.
 Vertices are built from Python floats: numpy scalars would turn an
 overflow into a RuntimeWarning, which pytest makes an error."""
 
+import dataclasses
+import inspect
 import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tripotential
 from tripotential import (
     DegenerateTriangle,
     Point2,
     PointLocation,
     Triangle,
+    Trilinears,
     TripotentialError,
+    area,
+    brute_force_max,
     cartesian_to_trilinear,
+    center_function_trilinears,
     centroid,
     cevian_angles,
     circumcenter,
     classify_point,
     diameter,
+    distance_to_boundary,
     electrostatic_center,
     field_closed,
     illuminating_spread,
     incenter,
+    initial_guess,
+    inradius,
     inversion_first_moment,
+    kimberling_search_value,
     lambda_curve,
+    lambda_equilateral,
+    lambda_residual,
     orthocenter,
+    potential_arc,
     potential_closed,
+    potential_field_batch,
     potential_quadrature,
+    ratio_band_survey,
     rp_center,
+    shape_parameter,
+    side_lengths,
+    solve_lambda,
     stationarity_residual,
     stationarity_spreads,
     thomson_residual,
+    triangle_from_sides,
     trilinear_to_cartesian,
+    vertex_distances,
 )
 
 # Relative accuracy compared, lengths in units of the diameter. Both
@@ -243,3 +264,78 @@ def test_oracle_layer_keeps_the_contract(
         closed, quad = values["potential_closed"], values["potential_quadrature"]
         if closed is not None and quad is not None:
             assert abs(quad[0] - closed[0]) <= 1e-10 * abs(closed[0])
+
+
+def _public_calls(tri, g):
+    """One call per public function of the package, on tri and its
+    interior point g."""
+    sides = tri.sides
+    return {
+        "side_lengths": lambda: side_lengths(tri),
+        "triangle_from_sides": lambda: triangle_from_sides(3.0, 4.0, 5.0),
+        "area": lambda: area(tri),
+        "inradius": lambda: inradius(tri),
+        "diameter": lambda: diameter(tri),
+        "distance_to_boundary": lambda: distance_to_boundary(tri, g),
+        "classify_point": lambda: classify_point(tri, g),
+        "cartesian_to_trilinear": lambda: cartesian_to_trilinear(tri, g),
+        "trilinear_to_cartesian": lambda: trilinear_to_cartesian(tri, Trilinears(1.0, 2.0, 3.0)),
+        "cevian_angles": lambda: cevian_angles(tri, g),
+        "vertex_distances": lambda: vertex_distances(tri, g),
+        "centroid": lambda: centroid(tri),
+        "incenter": lambda: incenter(tri),
+        "circumcenter": lambda: circumcenter(tri),
+        "orthocenter": lambda: orthocenter(tri),
+        "potential_closed": lambda: potential_closed(tri, g),
+        "potential_quadrature": lambda: potential_quadrature(tri, g),
+        "field_closed": lambda: field_closed(tri, g),
+        "potential_field_batch": lambda: potential_field_batch(tri, [g.x], [g.y]),
+        "brute_force_max": lambda: brute_force_max(tri, 16, 1),
+        "lambda_residual": lambda: lambda_residual(sides, 4.0),
+        "solve_lambda": lambda: solve_lambda(sides),
+        "electrostatic_center": lambda: electrostatic_center(tri),
+        "stationarity_spreads": lambda: stationarity_spreads(tri, g),
+        "center_function_trilinears": lambda: center_function_trilinears(sides),
+        "kimberling_search_value": lambda: kimberling_search_value(sides),
+        "lambda_curve": lambda: lambda_curve(tri, [1.0, 4.0]),
+        "ratio_band_survey": lambda: ratio_band_survey(100, 1),
+        "lambda_equilateral": lambda: lambda_equilateral(),
+        "shape_parameter": lambda: shape_parameter(sides),
+        "initial_guess": lambda: initial_guess(sides),
+        "stationarity_residual(-1)": lambda: stationarity_residual(tri, g, -1.0),
+        "stationarity_residual(3)": lambda: stationarity_residual(tri, g, 3.0),
+        "rp_center": lambda: rp_center(tri, 2.0),
+        "illuminating_spread": lambda: illuminating_spread(tri, g),
+        "inversion_first_moment": lambda: inversion_first_moment(tri, g),
+        "potential_arc": lambda: potential_arc(tri, [1.0, 2.0]),
+        "thomson_residual": lambda: thomson_residual(tri, g),
+    }
+
+
+def _leaves(value):
+    """The scalars in a result, through tuples, lists and dataclasses;
+    arrays and enums are leaves too."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _leaves(getattr(value, f.name))
+    else:
+        yield value
+
+
+def test_every_float_valued_public_result_is_a_python_float():
+    """numpy scalars are floats by isinstance, but print as np.float64(...)
+    and turn an overflow into a warning: public results are plain floats."""
+    tri = Triangle(Point2(-1.0, 0.0), Point2(2.0, 0.0), Point2(0.0, 2.0))
+    calls = _public_calls(tri, centroid(tri))
+    functions = {
+        name for name in tripotential.__all__
+        if inspect.isfunction(getattr(tripotential, name))
+    }
+    assert functions == {name.split("(")[0] for name in calls}
+    for name, thunk in calls.items():
+        for leaf in _leaves(thunk()):
+            if isinstance(leaf, float):
+                assert type(leaf) is float, (name, leaf)

@@ -42,6 +42,7 @@ from tripotential import (
     side_lengths,
     solve_lambda,
     stationarity_residual,
+    stationarity_spreads,
     thomson_residual,
     triangle_from_sides,
     trilinear_to_cartesian,
@@ -128,6 +129,20 @@ def test_illuminating_spread_is_scale_covariant(k):
         s = 10.0**big
         with pytest.raises(TripotentialError):
             illuminating_spread(_scaled(big), Point2(q.x * s, q.y * s))
+
+
+@pytest.mark.parametrize("k", EXPONENTS + (-300, -160, 160, 300))
+def test_stationarity_spreads_are_scale_covariant(k):
+    # the side spread has length degree -1, the tangent spread is free of
+    # the size: exactly so under 2^k, since both come from the frame
+    q = Point2(0.3, 0.2)
+    side, tangent = stationarity_spreads(UNIT, q)
+    s = math.ldexp(1.0, k)
+    tri = Triangle(*(Point2(v.x * s, v.y * s) for v in UNIT.vertices))
+    assert stationarity_spreads(tri, Point2(q.x * s, q.y * s)) == (side / s, tangent)
+    s, tri = 10.0**k, _scaled(k)
+    got = stationarity_spreads(tri, Point2(q.x * s, q.y * s))
+    assert got == pytest.approx((side / s, tangent), rel=1e-13)
 
 
 @pytest.mark.parametrize("k", (-150, -110, 110, 150))
