@@ -30,7 +30,6 @@ same pass, since g' = 1 - g^2 - 2g/x follows from coth' = 1 - coth^2.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +213,16 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
         If no sign change appears within 60 doublings/halvings
         (degenerate input).
     TripotentialError
-        If 4*area is not a finite normal double, the bracket shrinks to
-        adjacent floats, or 300 evaluations pass before the residual test
-        is met (roundoff in LHS can exceed a tol near 1e-14 on slivers).
+        If the area is not a normal double (``heron_area``) or 4*area
+        not finite, the bracket shrinks to adjacent floats, or 300
+        evaluations pass before the residual test is met (roundoff in
+        LHS can exceed a tol near 1e-14 on slivers).
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")
     rhs = 4.0 * heron_area(sides)
-    if not sys.float_info.min <= rhs < math.inf:
-        raise TripotentialError(f"4*area = {rhs!r} is not a finite normal double")
+    if rhs == math.inf:
+        raise TripotentialError("4*area exceeds the largest double")
     lam = initial_guess(sides)
     lo, hi = 0.0, math.inf
     expansions = 0

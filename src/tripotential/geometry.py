@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -284,13 +285,18 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
         If the strict triangle inequality fails (within relative
         tolerance 1e-12).
     TripotentialError
-        If the area exceeds the largest double (``heron_area``).
+        If a side is inf or the diameter below 2^-1024 (``Triangle``).
     """
-    sides = SideLengths(a, b, c)  # validates the triangle inequality
+    SideLengths(a, b, c)  # validates the triangle inequality
+    # A is placed on the sides scaled exactly into [0.5, 1): no product leaves the doubles
+    e = math.frexp(max(a, b, c))[1]
+    sides = SideLengths(*(math.ldexp(v, -e) for v in (a, b, c)))
+    a, b, c = sides.a, sides.b, sides.c
     x_a = (a * a + c * c - b * b) / (2.0 * a)
     # Height via the numerically stable Heron form rather than sqrt(c^2-x^2).
     y_a = 2.0 * heron_area(sides) / a
-    return Triangle(Point2(x_a, y_a), Point2(0.0, 0.0), Point2(a, 0.0))
+    return Triangle(Point2(math.ldexp(x_a, e), math.ldexp(y_a, e)), Point2(0.0, 0.0),
+                    Point2(math.ldexp(a, e), 0.0))
 
 
 def area(tri: Triangle) -> float:
@@ -299,20 +305,20 @@ def area(tri: Triangle) -> float:
     Raises
     ------
     TripotentialError
-        If the area exceeds the largest double.
+        If the area is not a normal double.
     """
     e, bx, by, cx, cy = tri._frame
     return _area_from_frame(0.5 * _cross(0.0, 0.0, bx, by, cx, cy), e)
 
 
 def _area_from_frame(unit: float, e: int) -> float:
-    """An area measured in a frame scaled by 2^-e, in world units."""
-    try:
-        return math.ldexp(unit, 2 * e)
-    except OverflowError:
+    """An area measured in a frame scaled by 2^-e, in world units;
+    TripotentialError unless that is a normal double, by its exponent."""
+    if not sys.float_info.min_exp <= math.frexp(unit)[1] + 2 * e <= sys.float_info.max_exp:
         raise TripotentialError(
-            f"the area {unit!r} * 2**{2 * e} exceeds the largest double"
-        ) from None
+            f"the area {unit!r} * 2**{2 * e} leaves the range of normal doubles"
+        )
+    return math.ldexp(unit, 2 * e)
 
 
 def heron_area(sides: SideLengths) -> float:
@@ -326,7 +332,7 @@ def heron_area(sides: SideLengths) -> float:
     Raises
     ------
     TripotentialError
-        If the area itself exceeds the largest double.
+        If the area itself is not a normal double.
     """
     e = math.frexp(max(sides.a, sides.b, sides.c))[1]
     x, y, z = sorted(

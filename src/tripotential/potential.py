@@ -345,12 +345,14 @@ def _potential_quadrature_batch(tri: Triangle, px, py, panels: int):
 
 def _interior_lattice(tri: Triangle, n: int):
     """(x, y) arrays of the strictly interior barycentric lattice points,
-    ~n^2/2 of them, row by row."""
+    ~n^2/2 of them, row by row, as A + (j(B - A) + k(C - A))/n: relative to
+    A, so that no product leaves the double range."""
     i, j = np.mgrid[1:n, 1:n].reshape(2, -1)
     i, j = i[i + j < n], j[i + j < n]
     k = n - i - j
     A, B, C = tri.vertices
-    return (i * A.x + j * B.x + k * C.x) / n, (i * A.y + j * B.y + k * C.y) / n
+    return (A.x + (j * (B.x - A.x) + k * (C.x - A.x)) / n,
+            A.y + (j * (B.y - A.y) + k * (C.y - A.y)) / n)
 
 
 def brute_force_max(tri: Triangle, grid_n: int = 64, refine_iters: int = 6) -> Point2:

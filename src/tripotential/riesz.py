@@ -307,6 +307,7 @@ def stationarity_residual(tri: Triangle, p_pt: Point2, p: float) -> FieldVector:
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
+    _rescaled((), _ray_scale(tri, p_pt), p + 1.0)  # refuse the factor before integrating
     total, _, r0 = _scaled_residual(tri, p_pt, p)
     return FieldVector(*_rescaled((total.real, total.imag), r0, p + 1.0))
 
@@ -442,6 +443,7 @@ def inversion_first_moment(tri: Triangle, p_pt: Point2) -> float:
     """
     n = _INVERSION_PANELS
     r0 = _ray_scale(tri, p_pt)
+    _rescaled((), r0, -3.0)  # refuse the factor before integrating
     moment = 0.0 + 0.0j
     for phi_start, delta, ray in cone_windows(tri, p_pt):
         phi_end = phi_start + delta
