@@ -213,10 +213,9 @@ def solve_lambda(sides: SideLengths, tol: float = 1e-12) -> LambdaSolution:
         If no sign change appears within 60 doublings/halvings
         (degenerate input).
     TripotentialError
-        If the area is not a normal double (``heron_area``) or 4*area
-        not finite, the bracket shrinks to adjacent floats, or 300
-        evaluations pass before the residual test is met (roundoff in
-        LHS can exceed a tol near 1e-14 on slivers).
+        If the area or 4*area is not a finite normal double, the bracket
+        shrinks to adjacent floats, or 300 evaluations pass before the
+        residual test is met (on slivers LHS roundoff can exceed a tol near 1e-14).
     """
     if tol < 1e-14:
         raise ValueError(f"tol must be >= 1e-14, got {tol}")

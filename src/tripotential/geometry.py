@@ -287,10 +287,12 @@ def triangle_from_sides(a: float, b: float, c: float) -> Triangle:
     TripotentialError
         If a side is inf or the diameter below 2^-1024 (``Triangle``).
     """
-    SideLengths(a, b, c)  # validates the triangle inequality
-    # A is placed on the sides scaled exactly into [0.5, 1): no product leaves the doubles
-    e = math.frexp(max(a, b, c))[1]
-    sides = SideLengths(*(math.ldexp(v, -e) for v in (a, b, c)))
+    e = math.frexp(max(a, b, c))[1]  # A is placed on the sides scaled exactly into [0.5, 1)
+    try:
+        sides = SideLengths(*(math.ldexp(v, -e) for v in (a, b, c)))
+    except TripotentialError:
+        SideLengths(a, b, c)  # the same error on the sides as given
+        raise
     a, b, c = sides.a, sides.b, sides.c
     x_a = (a * a + c * c - b * b) / (2.0 * a)
     # Height via the numerically stable Heron form rather than sqrt(c^2-x^2).
@@ -312,8 +314,7 @@ def area(tri: Triangle) -> float:
 
 
 def _area_from_frame(unit: float, e: int) -> float:
-    """An area measured in a frame scaled by 2^-e, in world units;
-    TripotentialError unless that is a normal double, by its exponent."""
+    """An area measured in a frame scaled by 2^-e, in world units, if a normal double."""
     if not sys.float_info.min_exp <= math.frexp(unit)[1] + 2 * e <= sys.float_info.max_exp:
         raise TripotentialError(
             f"the area {unit!r} * 2**{2 * e} leaves the range of normal doubles"

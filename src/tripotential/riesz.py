@@ -155,6 +155,7 @@ def _scaled_residual(tri: Triangle, p_pt: Point2, p: float):
     """
     kern = _kernel(p)
     r0 = _ray_scale(tri, p_pt)
+    _rescaled((), r0, p + 1.0)  # refuse the factor before integrating
     total = 0.0 + 0.0j
     magnitude = 0.0
     for phi_start, delta, ray in cone_windows(tri, p_pt):
@@ -307,7 +308,6 @@ def stationarity_residual(tri: Triangle, p_pt: Point2, p: float) -> FieldVector:
     """
     if not math.isfinite(p):
         raise ValueError(f"exponent must be finite, got {p}")
-    _rescaled((), _ray_scale(tri, p_pt), p + 1.0)  # refuse the factor before integrating
     total, _, r0 = _scaled_residual(tri, p_pt, p)
     return FieldVector(*_rescaled((total.real, total.imag), r0, p + 1.0))
 

@@ -1,18 +1,19 @@
 """The API contract, declared once in PUBLIC_CALLS: one row per public
 function, with its call on a triangle and an interior point q, the length
 dimension k of the numbers it returns (a value scales as s^k with the
-triangle's size s; a point maps by the similarity) and their tolerance.
+triangle's size s; a point maps by the similarity), their tolerance, its
+looser tolerance on the sliver and the sizes at which it raises.
 
 * The sweep runs every row over three shapes, all six vertex orders,
   sizes 1e-300 .. 1e300 and offsets 0 and 1e8 diameters along (1, 1).
-  Each call raises a TripotentialError, in every vertex order and at
-  exactly the (shape, size, offset) entries pinned in RAISES, or matches
-  the same call at size 1 without offset, in the same vertex order, on
-  the pose mapped back; bit for bit at a power-of-two size without
-  offset, outside the lambda family. A bare exception, a non-finite value
-  or a RuntimeWarning (an error, see pyproject.toml) fails.
-* ``probe`` runs rows the same way on one shape at one size, for the
-  per-function tests of test_scale.py.
+  Each call raises a TripotentialError at exactly the sizes its row
+  pins, on every shape, offset and vertex order, or matches the same
+  call at size 1 without offset, in the same vertex order, on the pose
+  mapped back; bit for bit at a power-of-two size without offset,
+  outside the lambda family. A bare exception, a non-finite value or a
+  RuntimeWarning (an error, see pyproject.toml) fails.
+* ``probe`` runs rows the same way on one shape at one size and interior
+  point, for the per-function tests of test_scale.py.
 * The hypothesis properties run rows over random shapes down to 1e-6
   rad, rotations, sizes 2^-498 .. 2^498 and offsets up to 1e12
   diameters, where both transformations are exact.
@@ -79,31 +80,74 @@ from tripotential import (
 )
 
 
+SHAPES = {
+    "acute": ((0.0, 0.0), (1.0, 0.0), (0.375, 0.8125)),
+    "obtuse": ((0.0, 0.0), (1.0, 0.0), (0.2, 0.1)),
+    "sliver": ((0.0, 0.0), (1.0, 0.0), (0.4, 1e-5)),
+}
+SIZES = (1e-300, 2.0**-500, 1e-160, 1.0, 1e160, 2.0**500, 1e300)
+OFFSETS = (0.0, 1e8)  # diameters along (1, 1)
+
+
 class Row(NamedTuple):
     """call(tri, q); dim, the length dimension of every number in the
     result, or a tuple with one per number in order (None: not compared),
     or None for a call that does not take the triangle (run once); rtol,
     relative to the largest number of a dimension, and to the diameter on
-    a point (see _mismatch)."""
+    a point (see _mismatch); shapes, those it is swept on; sliver, a
+    looser rtol on the sliver; raises, the sizes at which the call raises
+    a TripotentialError on every shape, offset and vertex order; lam, a row
+    that solves the lambda equation: outside about 2^+-330 the slope's
+    length^3 products leave the doubles and the solve bisects, so at
+    2^+-500 it matches to rtol only."""
 
     call: Callable
     dim: object
     rtol: float = 1e-14
+    shapes: tuple = tuple(SHAPES)
+    sliver: float = 0.0
+    raises: frozenset = frozenset()
+    lam: bool = False
 
+
+# The area, 4*area and the lambda family's area leave the normal doubles
+# at 1e+-160 and beyond (the lambda family until its sides are scaled
+# into range at its entry), and so do literal values of dimension -2;
+# those of dimension -3, 3, 4 and 6 leave them at every size but 1.
+_FAR = frozenset({1e-300, 1e-160, 1e160, 1e300})
+_NOT_1 = frozenset(SIZES) - {1.0}
+_LAM = {"raises": _FAR, "lam": True}
+_ACUTE, _NOT_SLIVER = ("acute",), ("acute", "obtuse")
 
 # LambdaSolution: lam, u, v, w, r_a, r_b, r_c, residual, iterations,
 # terms. The residual and the count are not equivariant, and r_a, r_b,
 # r_c cancel on slivers (test_scale holds them bit for bit under 2^k).
 _SOLUTION = (0, 1, 1, 1, None, None, None, None, None, 2, 2, 2)
-# RpSolveReport: p, point, residual_norm, iterations, converged
+# RpSolveReport: p, point, residual_norm (held in the frame property),
+# iterations, converged
 _REPORT = (0, None, 0)
 
+
+def _converged(arc):
+    assert all(point.converged for point in arc), arc
+    return arc
+
+
+# On the sliver, the rounding that separates a 10^k pose from its unit
+# pose, an ulp of each coordinate, is amplified: by up to diameter/slack
+# in the rows that work from the side lengths (the slack is 1e-10 of the
+# diameter), by diameter/height in the field at q, 5e-6 diameters from
+# the long side, and in the circumcenter and orthocenter, 1e4 diameters
+# out. Rows leave the sliver out where its V_p solves do not converge
+# from the centroid (p < 0 and p = 10), and for time where a quadrature
+# takes 0.05-0.8 s a row there; V, the arc and the p = -1 and 0 integrals
+# (up to 0.15 s a row on the obtuse shape) run on the acute shape only.
 PUBLIC_CALLS = {
     "side_lengths": Row(lambda tri, q: side_lengths(tri), 1),
     # vertices in the canonical pose, which does not move with the triangle
-    "triangle_from_sides": Row(lambda tri, q: [
-        astuple(v) for v in triangle_from_sides(*astuple(tri.sides)[:3]).vertices], 1),
-    "area": Row(lambda tri, q: area(tri), 2),
+    "triangle_from_sides": Row(lambda tri, q: [astuple(v) for v in triangle_from_sides(
+        *astuple(tri.sides)[:3]).vertices], 1, sliver=1e-6),
+    "area": Row(lambda tri, q: area(tri), 2, raises=_FAR),
     "inradius": Row(lambda tri, q: inradius(tri), 1),
     "diameter": Row(lambda tri, q: diameter(tri), 1),
     "distance_to_boundary": Row(distance_to_boundary, 1),
@@ -115,103 +159,57 @@ PUBLIC_CALLS = {
     "vertex_distances": Row(vertex_distances, 1),
     "centroid": Row(lambda tri, q: centroid(tri), 0),
     "incenter": Row(lambda tri, q: incenter(tri), 0),
-    "circumcenter": Row(lambda tri, q: circumcenter(tri), 0),
-    "orthocenter": Row(lambda tri, q: orthocenter(tri), 0),
+    "circumcenter": Row(lambda tri, q: circumcenter(tri), 0, sliver=1e-11),
+    "orthocenter": Row(lambda tri, q: orthocenter(tri), 0, sliver=1e-11),
     "potential_closed": Row(potential_closed, 1),
-    "potential_quadrature": Row(potential_quadrature, 1),
-    "field_closed": Row(field_closed, 0),
+    "potential_quadrature": Row(potential_quadrature, 1, shapes=_ACUTE),
+    "field_closed": Row(field_closed, 0, sliver=1e-13),
     "potential_field_batch": Row(
-        lambda tri, q: potential_field_batch(tri, [q.x], [q.y]), (1, 0, 0)),
-    "brute_force_max": Row(lambda tri, q: brute_force_max(tri, 16, 1), 0),
-    "lambda_residual": Row(lambda tri, q: lambda_residual(tri.sides, 4.0), 2),
-    "solve_lambda": Row(lambda tri, q: solve_lambda(tri.sides), _SOLUTION, 1e-12),
-    "electrostatic_center": Row(lambda tri, q: electrostatic_center(tri), _SOLUTION, 1e-12),
+        lambda tri, q: potential_field_batch(tri, [q.x], [q.y]), (1, 0, 0), sliver=1e-13),
+    "brute_force_max": Row(lambda tri, q: brute_force_max(tri, 16, 2), 0, shapes=_NOT_SLIVER),
+    "lambda_residual": Row(lambda tri, q: lambda_residual(tri.sides, 4.0), 2, raises=_FAR),
+    "solve_lambda": Row(lambda tri, q: solve_lambda(tri.sides), _SOLUTION, 1e-12, **_LAM),
+    "electrostatic_center": Row(
+        lambda tri, q: electrostatic_center(tri), _SOLUTION, 1e-12, **_LAM),
     "stationarity_spreads": Row(stationarity_spreads, (-1, 0)),
     "center_function_trilinears": Row(
-        lambda tri, q: center_function_trilinears(tri.sides), 1, 1e-12),
-    "kimberling_search_value": Row(lambda tri, q: kimberling_search_value(tri.sides), 1, 1e-12),
-    "lambda_curve": Row(lambda tri, q: lambda_curve(tri, [0.1, 1.0, 10.0]), 0),
+        lambda tri, q: center_function_trilinears(tri.sides), 1, 1e-12, **_LAM),
+    "kimberling_search_value": Row(
+        lambda tri, q: kimberling_search_value(tri.sides), 1, 1e-12, **_LAM),
+    "lambda_curve": Row(lambda tri, q: lambda_curve(tri, [0.1, 1.0, 10.0]), 0, sliver=1e-10),
     "ratio_band_survey": Row(lambda tri, q: ratio_band_survey(100, 1), None),
     "lambda_equilateral": Row(lambda tri, q: lambda_equilateral(), None),
-    "shape_parameter": Row(lambda tri, q: shape_parameter(tri.sides), 0, 1e-12),
-    "initial_guess": Row(lambda tri, q: initial_guess(tri.sides), 0),
+    "shape_parameter": Row(lambda tri, q: shape_parameter(tri.sides), 0, 1e-12, sliver=1e-7),
+    "initial_guess": Row(lambda tri, q: initial_guess(tri.sides), 0, sliver=1e-7),
     # the literal integral has length dimension p + 1
     **{f"stationarity_residual({p:g})": Row(
-        lambda tri, q, p=p: stationarity_residual(tri, q, p), int(p) + 1, 1e-13)
-       for p in (-4.0, -1.0, 3.0, 5.0)},
-    **{f"rp_center({p:g})": Row(lambda tri, q, p=p: rp_center(tri, p), _REPORT)
+        lambda tri, q, p=p: stationarity_residual(tri, q, p), int(p) + 1, 1e-13,
+        _ACUTE if p in (-1.0, 0.0) else _NOT_SLIVER if p > -2.0 else tuple(SHAPES),
+        raises=_NOT_1 if abs(p + 1.0) > 2.0 else frozenset())
+       for p in (-4.0, -2.0, -1.0, 0.0, 2.0, 3.0, 5.0)},
+    **{f"rp_center({p:g})": Row(lambda tri, q, p=p: rp_center(tri, p), _REPORT,
+                                shapes=_NOT_SLIVER if p < 0.0 or p == 10.0 else tuple(SHAPES))
        for p in (-10.0, -4.0, -1.0, 0.0, 5.0, 10.0)},
-    "illuminating_spread": Row(illuminating_spread, -2),
-    "inversion_first_moment": Row(inversion_first_moment, -3),
-    "potential_arc": Row(lambda tri, q: potential_arc(tri, [0.0, 3.0]), _REPORT * 3),
-    "thomson_residual": Row(thomson_residual, 0),
-}
-
-# Rows that solve the lambda equation: outside about 2^+-330 the slope's
-# length^3 products leave the doubles and the solve bisects, so at
-# 2^+-500 they match to their tolerance only.
-LAMBDA_FAMILY = {"solve_lambda", "electrostatic_center", "center_function_trilinears",
-                 "kimberling_search_value"}
-
-SHAPES = {
-    "acute": ((0.0, 0.0), (1.0, 0.0), (0.375, 0.8125)),
-    "obtuse": ((0.0, 0.0), (1.0, 0.0), (0.2, 0.1)),
-    "sliver": ((0.0, 0.0), (1.0, 0.0), (0.4, 1e-5)),
-}
-SIZES = (1e-300, 2.0**-500, 1e-160, 1.0, 1e160, 2.0**500, 1e300)
-OFFSETS = (0.0, 1e8)  # diameters along (1, 1)
-
-# On the sliver, the rounding that separates a 10^k pose from its unit
-# pose, an ulp of each coordinate, is amplified: by up to diameter/slack
-# in the rows that work from the side lengths (the slack is 1e-10 of the
-# diameter), by diameter/height in the field at q, 5e-6 diameters from
-# the long side, and in the circumcenter and orthocenter, 1e4 diameters
-# out. None leaves a row out: the sliver's V_p solves below p = 0 and at
-# p = 10 do not converge from the centroid.
-SLIVER_RTOL = {
-    "triangle_from_sides": 1e-6, "shape_parameter": 1e-7, "initial_guess": 1e-7,
-    "lambda_curve": 1e-10, "field_closed": 1e-13, "potential_field_batch": 1e-13,
-    "circumcenter": 1e-11, "orthocenter": 1e-11, "rp_center(-10)": None,
-    "rp_center(-4)": None, "rp_center(-1)": None, "rp_center(10)": None,
-}
-
-
-def _at(sizes):
-    return {(shape, s, out) for shape in SHAPES for s in sizes for out in OFFSETS}
-
-
-# The (shape, size, offset) entries where a row raises a typed error: the
-# area, 4*area and the lambda family's area leave the normal doubles at
-# 1e+-160 and beyond (the lambda family until its sides are scaled into
-# range at its entry), and so do the literal values of dimension -2, -3,
-# 4 and 6.
-_FAR = (1e-300, 1e-160, 1e160, 1e300)
-RAISES = {
-    **{name: _at(_FAR) for name in LAMBDA_FAMILY},
-    "area": _at(_FAR),
-    "lambda_residual": _at(_FAR),
-    "illuminating_spread": _at(_FAR),
-    **{name: _at(set(SIZES) - {1.0}) for name in (
-        "inversion_first_moment", "stationarity_residual(-4)", "stationarity_residual(3)",
-        "stationarity_residual(5)")},
+    "illuminating_spread": Row(illuminating_spread, -2, raises=_FAR),
+    "inversion_first_moment": Row(inversion_first_moment, -3, raises=_NOT_1),
+    # -1 and 2 are inserted
+    "potential_arc": Row(lambda tri, q: _converged(potential_arc(tri, [-2.0, 0.0, 3.0])),
+                         _REPORT * 5, shapes=_ACUTE),
+    # 2e-14 at (0.5, 0.1) of the acute shape, where it is -0.008
+    "thomson_residual": Row(thomson_residual, 0, 1e-13),
 }
 
 
 def _leaves(value):
     """The points and scalars of a result, through tuples, lists, numpy
     arrays and dataclasses, in order; a Point2 is one leaf."""
-    if isinstance(value, Point2):
-        yield value
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            yield from _leaves(item)
-    elif isinstance(value, np.ndarray):
-        yield from value.tolist()
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _leaves(getattr(value, f.name))
-    else:
-        yield value
+    if isinstance(value, (tuple, list)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value) and not isinstance(value, Point2):
+        return _leaves([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return [value]
 
 
 def _is_number(leaf):
@@ -240,11 +238,11 @@ def _mismatch(row, got, ref, ref_tri, s, shift, rtol, floor=0.0, ulps=1.0):
     number of its dimension in ref, or floor if larger; a point to rtol
     times the diameter, plus ulps ulps of its coordinates for the way
     back. rtol 0 asks for the same bits."""
-    got, ref = list(_leaves(got)), list(_leaves(ref))
+    got, ref = _leaves(got), _leaves(ref)
     numbers = [i for i, leaf in enumerate(ref) if _is_number(leaf)]
     dims = row.dim if isinstance(row.dim, tuple) else (row.dim,) * len(numbers)
     dim_of = dict(zip(numbers, dims, strict=True))
-    scale = {k: max(floor, *(abs(ref[i]) for i in dim_of if dim_of[i] == k)) for k in dims}
+    scale = {k: max(floor, *(abs(ref[i]) for i in dim_of if dim_of[i] == k)) for k in set(dims)}
     tol = rtol * diameter(ref_tri)
     for i, (g, r) in enumerate(zip(got, ref, strict=True)):
         k = dim_of.get(i)
@@ -260,22 +258,22 @@ def _mismatch(row, got, ref, ref_tri, s, shift, rtol, floor=0.0, ulps=1.0):
     return None
 
 
-def _pose(pts, order, s, diameters_out):
+def _pose(pts, order, s, diameters_out, weights=(0.25, 0.25, 0.5)):
     """The triangle pts in the vertex order, its point q at barycentric
-    (1/4, 1/4, 1/2) of pts, both scaled by s and moved diameters_out
-    diameters along (1, 1), and that shift."""
+    weights of pts, both scaled by s and moved diameters_out diameters
+    along (1, 1), and that shift."""
     shift = diameters_out * s * max(math.dist(u, v) for u, v in itertools.combinations(pts, 2))
-    qx, qy = (0.25 * a + 0.25 * b + 0.5 * c for a, b, c in zip(*pts))
+    qx, qy = (sum(w * v for w, v in zip(weights, coords)) for coords in zip(*pts))
     tri = Triangle(*(Point2(pts[i][0] * s + shift, pts[i][1] * s + shift) for i in order))
     return tri, Point2(qx * s + shift, qy * s + shift), shift
 
 
-def _check(name, pts, order, s, diameters_out, refs, rtol=None):
+def _check(name, pts, order, s, diameters_out, refs, rtol, weights=(0.25, 0.25, 0.5)):
     """'raised' if the row named raises a typed error at this pose, else
     None if it matches the call at size 1 on the pose mapped back (kept in
     refs), else a description of the mismatch."""
     row = PUBLIC_CALLS[name]
-    tri, q, shift = _pose(pts, order, s, diameters_out)
+    tri, q, shift = _pose(pts, order, s, diameters_out, weights)
     got = _outcome(row, tri, q)
     if isinstance(got, TripotentialError):
         return "raised"
@@ -286,9 +284,8 @@ def _check(name, pts, order, s, diameters_out, refs, rtol=None):
     unit, ref = refs[key]
     if isinstance(ref, TripotentialError):
         return f"{name} answers {got} where size 1 raises {ref!r}"
-    exact = name not in LAMBDA_FAMILY and diameters_out == 0.0 and math.frexp(s)[0] == 0.5
-    rtol = 0.0 if exact else row.rtol if rtol is None else rtol
-    bad = _mismatch(row, got, ref, unit, s, (shift, shift), rtol)
+    exact = not row.lam and diameters_out == 0.0 and math.frexp(s)[0] == 0.5
+    bad = _mismatch(row, got, ref, unit, s, (shift, shift), 0.0 if exact else rtol)
     return bad and f"{name} at {s!r}, {diameters_out} out, order {order}: {bad}"
 
 
@@ -296,30 +293,27 @@ def _check(name, pts, order, s, diameters_out, refs, rtol=None):
 def test_every_call_matches_size_1_or_raises_where_pinned(name):
     row = PUBLIC_CALLS[name]
     if row.dim is None:
-        leaves = list(_leaves(row.call(None, None)))
+        leaves = _leaves(row.call(None, None))
         assert all(math.isfinite(v) for v in leaves if _is_number(v)), leaves
         return
-    raised, refs = [], {}
-    for shape, order, s, out in itertools.product(
-        SHAPES, itertools.permutations(range(3)), SIZES, OFFSETS
-    ):
-        rtol = SLIVER_RTOL.get(name, row.rtol) if shape == "sliver" else row.rtol
-        if rtol is None:
-            continue
+    refs = {}
+    for shape, order, s, out in itertools.product(row.shapes, itertools.permutations(range(3)),
+                                                  SIZES, OFFSETS):
+        rtol = max(row.rtol, row.sliver) if shape == "sliver" else row.rtol
         outcome = _check(name, SHAPES[shape], order, s, out, refs, rtol)
-        if outcome == "raised":
-            raised.append((shape, s, out))
-        else:
-            assert outcome is None, outcome
-    expected = RAISES.get(name, set())
-    assert set(raised) == expected and len(raised) == 6 * len(expected)
+        assert outcome == ("raised" if s in row.raises else None), (shape, outcome)
 
 
-def probe(names, pts, s, diameters_out=0.0, raises=()):
+_PROBE_REFS = {name: {} for name in PUBLIC_CALLS}
+
+
+def probe(names, pts, s, diameters_out=0.0, raises=(), weights=(0.25, 0.25, 0.5)):
     """The rows named hold on the triangle pts, in its own vertex order, at
-    size s: those in raises raise a typed error, the others match size 1."""
+    size s and q at the barycentric weights: those in raises raise a
+    typed error, the others match size 1 (kept across probes)."""
     for name in names:
-        outcome = _check(name, pts, (0, 1, 2), s, diameters_out, {})
+        outcome = _check(name, pts, (0, 1, 2), s, diameters_out, _PROBE_REFS[name],
+                         PUBLIC_CALLS[name].rtol, weights)
         assert outcome == ("raised" if name in raises else None), (name, outcome)
 
 
@@ -327,7 +321,6 @@ def test_the_table_has_one_row_per_public_function():
     functions = {name for name in tripotential.__all__
                  if inspect.isfunction(getattr(tripotential, name))}
     assert functions == {name.split("(")[0] for name in PUBLIC_CALLS}
-    assert LAMBDA_FAMILY | set(RAISES) | set(SLIVER_RTOL) <= set(PUBLIC_CALLS)
 
 
 def test_every_float_valued_public_result_is_a_python_float():
@@ -371,16 +364,15 @@ def _poses(angle_q, split, turn, offset_q, direction, order):
     return near, [(x + ox, y + oy) for x, y in near], (ox, oy)
 
 
-# The frame functions the first property runs, and the looser tolerance
-# it holds the center to: the solve works on the side lengths, which
-# translation rounds; on slivers those last bits move the center and
-# decide whether the bracket collapses, so the center is held to the
-# loose end of the documented 1e-10 .. 1e-12, and a typed error on one
-# side of a comparison only is accepted.
+# The frame functions the first property runs. The lambda solve works on
+# the side lengths, which translation rounds; on slivers those last bits
+# move the center and decide whether the bracket collapses, so the center
+# is held to the loose end of the documented 1e-10 .. 1e-12, the others
+# to 1e-12, and a typed error on one side of a comparison only is
+# accepted for the center.
 FRAME_CALLS = ("incenter", "circumcenter", "orthocenter", "centroid", "trilinear_to_cartesian",
                "electrostatic_center", "lambda_curve", "thomson_residual", "rp_center(-4)",
                "rp_center(5)")
-RTOL = {"electrostatic_center": 1e-10}
 
 
 def _outcomes(vertices, q):
@@ -396,12 +388,15 @@ def _agree(ref, got, s, shift, ulps):
     (ref_tri, ref), (_, got) = ref, got
     for name in FRAME_CALLS:
         r, g = ref[name], got[name]
+        center = name == "electrostatic_center"
         if r is None or g is None:
-            assert r is g or name in RTOL, name
+            assert r is g or center, name
             continue
-        rtol = RTOL.get(name, 1e-12)
+        rtol = 1e-10 if center else 1e-12
         bad = _mismatch(PUBLIC_CALLS[name], g, r, ref_tri, s, shift, rtol, floor=1.0, ulps=ulps)
         assert bad is None, (name, bad)
+        if name.startswith("rp_center"):
+            assert abs(g.residual_norm - r.residual_norm) <= rtol * max(1.0, r.residual_norm)
 
 
 QUANTILE = st.floats(0.0, 1.0)

@@ -25,6 +25,7 @@ from tripotential import (
     Triangle,
     TripotentialError,
     area,
+    centroid,
     classify_point,
     diameter,
     distance_to_boundary,
@@ -37,16 +38,18 @@ from tripotential import (
     rp_center,
     side_lengths,
     solve_lambda,
+    thomson_residual,
     triangle_from_sides,
 )
 
 from conftest import exact_doubled_area, make_rng, sliver_triangles
-from test_properties import LAMBDA_FAMILY, PUBLIC_CALLS, SHAPES, probe
+from test_properties import PUBLIC_CALLS, SHAPES, probe
 
 EXPONENTS = (-150, -110, -70, 70, 110, 150)
 ACUTE = SHAPES["acute"]
 FOUR_FIVE_SIX = [astuple(v) for v in triangle_from_sides(4.0, 5.0, 6.0).vertices]
-STATIONARITY = tuple(f"stationarity_residual({p})" for p in (-4, -1, 3, 5))
+STATIONARITY = tuple(f"stationarity_residual({p})" for p in (-4, -2, -1, 0, 2, 5))
+LAMBDA = [name for name, row in PUBLIC_CALLS.items() if row.lam]
 
 
 @pytest.mark.parametrize("k", EXPONENTS)
@@ -85,7 +88,11 @@ def test_lambda_curve_is_scale_free(k):
 
 @pytest.mark.parametrize("k", EXPONENTS)
 def test_thomson_residual_is_scale_free(k):
-    probe(("thomson_residual",), ACUTE, 10.0**k)
+    # at (0.3, 0.2) and (0.5, 0.1); at the centroid, on the cubic, it is 0
+    for weights in ((71 / 130, 27 / 130, 32 / 130), (55 / 130, 59 / 130, 16 / 130)):
+        probe(("thomson_residual",), ACUTE, 10.0**k, weights=weights)
+    tri = Triangle(*(Point2(x * 10.0**k, y * 10.0**k) for x, y in ACUTE))
+    assert abs(thomson_residual(tri, centroid(tri))) <= 1e-15
 
 
 @pytest.mark.parametrize("k", EXPONENTS)
@@ -95,14 +102,14 @@ def test_heron_and_triangle_from_sides_are_scale_free(k):
 
 @pytest.mark.parametrize("k", (-150, -110, -100, -80, 80, 100, 110, 150))
 def test_electrostatic_center_is_scale_free(k):
-    probe(LAMBDA_FAMILY, ACUTE, 10.0**k)
+    probe(LAMBDA, ACUTE, 10.0**k)
 
 
 def test_electrostatic_center_at_the_range_edge():
     # at 1e-160 the area is subnormal: the solve refuses it by name
     shape = ((0.0, 0.0), (4.0, 0.0), (1.0, 3.0))
-    probe(LAMBDA_FAMILY, shape, 1e-150)
-    probe(LAMBDA_FAMILY, shape, 1e-160, raises=LAMBDA_FAMILY)
+    probe(LAMBDA, shape, 1e-150)
+    probe(LAMBDA, shape, 1e-160, raises=LAMBDA)
     with pytest.raises(TripotentialError, match="area"):
         electrostatic_center(Triangle(*(Point2(1e-160 * x, 1e-160 * y) for x, y in shape)))
 
